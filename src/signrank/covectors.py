@@ -1,13 +1,23 @@
 """Sign vectors of rational subspaces.
 
 For a subspace L given by a basis matrix B (columns spanning L), sign(L)
-is enumerated exactly: candidate minimal-support vectors come from the
-one-dimensional null spaces of (k-1)-row submatrices of B, and the full
-set is their closure under sign-vector composition (u then v fills the
-zeros of u with v). Every enumerated sign vector carries an exact integer
-witness x with sign(Bx) equal to it; witnesses are built along the same
-closure by combining integer vectors with exactly chosen step sizes, so
-no feasibility solve is needed per vector.
+is enumerated exactly, in integers. B is scaled by the lcm D of its
+denominators, which changes no sign and no ray. The cocircuits, the
+minimal-support sign vectors, come from the (k-1)-row submatrices: the
+signed maximal minors of such a (k-1) x k block of D B, computed by
+Bareiss elimination, span its null space. The full set is the closure of
+the cocircuits under sign-vector composition (u then v fills the zeros of
+u with v), since every covector is a composition of cocircuits. The
+closure works breadth first; for each zero set z of a vector u it caches
+the distinct nonzero restrictions of the generators to z, so u is
+composed only with generators that give something new.
+
+Every enumerated sign vector carries an exact integer witness x with
+sign(Bx) equal to it, chosen so that (x, Bx) is a primitive integer
+vector. Witnesses are built along the same closure by adding a positive
+step of the generator, chosen by cross-multiplication so that every
+nonzero coordinate keeps its sign; no feasibility solve is needed per
+vector.
 
 Membership queries go the other way: member_witness reduces sign(Bx) = s
 to an exact strict-feasibility system, independently of the enumeration.
@@ -17,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from random import Random
 from typing import Optional, Sequence
 
@@ -25,7 +35,7 @@ from .errors import DimensionError, InternalCheckError
 from .rational import (
     RationalMatrix,
     RationalSubspace,
-    _nullspace_columns,
+    integer_determinant,
     orth_complement,
     strict_feasibility,
 )
@@ -75,24 +85,11 @@ class SubspaceSignReport:
 
 
 def _reduce_int_pair(coeff: list[int], image: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    g = 0
-    for v in coeff:
-        g = gcd(g, abs(v))
-    for v in image:
-        g = gcd(g, abs(v))
+    g = gcd(*coeff, *image)
     if g > 1:
         coeff = [v // g for v in coeff]
         image = [v // g for v in image]
     return tuple(coeff), tuple(image)
-
-
-def _integerize(coeff: Sequence[Fraction], image: Sequence[Fraction]):
-    mult = 1
-    for f in coeff:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    for f in image:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    return _reduce_int_pair([int(f * mult) for f in coeff], [int(f * mult) for f in image])
 
 
 def _pack_signs(values: Sequence[int]) -> tuple[int, int]:
@@ -106,22 +103,30 @@ def _pack_signs(values: Sequence[int]) -> tuple[int, int]:
 
 
 def _cocircuit_candidates(basis: RationalMatrix) -> list[tuple[int, int, tuple, tuple]]:
-    """Sign vectors of B z for z spanning null spaces of (k-1)-row submatrices.
+    """Sign vectors of B c for c spanning null spaces of (k-1)-row submatrices.
 
-    Covers every minimal-support nonzero sign vector of the column span;
-    extra non-minimal hits are harmless for the closure.
+    c is the vector of signed maximal minors of the (k-1) x k block of the
+    integer matrix D B, where D is the lcm of B's denominators. Covers every
+    minimal-support nonzero sign vector of the column span; extra
+    non-minimal hits are harmless for the closure.
     """
     n, k = basis.rows, basis.cols
-    rows = basis.data
+    scale = lcm(*(e.denominator for row in basis.data for e in row))
+    rows = [tuple(e.numerator * (scale // e.denominator) for e in row) for row in basis.data]
     found: dict[tuple[int, int], tuple[tuple, tuple]] = {}
     for subset in combinations(range(n), k - 1):
         sub = [rows[i] for i in subset]
-        null_cols = _nullspace_columns(sub, k)
-        if len(null_cols) != 1:
+        minors = [
+            (-1) ** j * integer_determinant([row[:j] + row[j + 1 :] for row in sub])
+            for j in range(k)
+        ]
+        if not any(minors):
             continue  # dependent rows; the line is covered by a smaller independent subset
-        z = null_cols[0]
-        image = basis.apply(z)
-        coeff, img = _integerize(z, image)
+        # (D c, D B c) is an integer point on the ray of (c, B c)
+        coeff, img = _reduce_int_pair(
+            [scale * c for c in minors],
+            [sum(a * b for a, b in zip(row, minors)) for row in rows],
+        )
         key = _pack_signs(img)
         if key not in found:
             found[key] = (coeff, img)
@@ -137,18 +142,20 @@ def _compose_witness(
 ) -> tuple[tuple, tuple]:
     """Integer witness for the composition: u plus a small positive step of g.
 
-    The step a/b is chosen so every nonzero coordinate of u keeps its sign
-    while zeros of u take g's sign; the result is scaled back to integers.
+    The step a/b = min |u_i| / (2 |g_i|) over the common support keeps every
+    nonzero coordinate of u's sign while zeros of u take g's sign; the
+    minimum is found by cross-multiplication and the result is reduced to
+    the primitive integer point, so a/b need not be in lowest terms.
     """
-    step = None
+    a, b = 0, 1
     for ui, gi in zip(u_img, g_img):
         if ui and gi:
-            bound = Fraction(abs(ui), 2 * abs(gi))
-            if step is None or bound < step:
-                step = bound
-    if step is None:
-        step = Fraction(1)
-    a, b = step.numerator, step.denominator
+            num = ui if ui > 0 else -ui
+            den = 2 * gi if gi > 0 else -2 * gi
+            if not a or num * b < a * den:
+                a, b = num, den
+    if not a:
+        a = 1
     coeff = [b * u + a * g for u, g in zip(u_coeff, g_coeff)]
     image = [b * u + a * g for u, g in zip(u_img, g_img)]
     return _reduce_int_pair(coeff, image)
@@ -171,17 +178,32 @@ def sign_vectors(subspace: RationalSubspace) -> SubspaceSignReport:
                 known[(p, q)] = (coeff, img)
                 queue.append((p, q))
         gens = [(p, q, known[(p, q)]) for p, q, _, _ in generators]
+        full = (1 << n) - 1
+        # zero set of u -> generators whose restrictions to it are distinct
+        # and nonzero, each the first in generator order; composing u with any
+        # other generator gives u itself or a vector the first one already gave
+        restrictions: dict[int, list] = {}
         while queue:
-            up, uq = queue.popleft()
-            u_coeff, u_img = known[(up, uq)]
-            usupp = up | uq
-            for gp, gq, (g_coeff, g_img) in gens:
-                wp = up | (gp & ~usupp)
-                wq = uq | (gq & ~usupp)
-                if (wp, wq) in known or (wp == up and wq == uq):
+            u = queue.popleft()
+            up, uq = u
+            u_coeff, u_img = known[u]
+            zeros = full & ~(up | uq)
+            moves = restrictions.get(zeros)
+            if moves is None:
+                moves = []
+                seen = set()
+                for g in gens:
+                    r = (g[0] & zeros, g[1] & zeros)
+                    if r != zero_key and r not in seen:
+                        seen.add(r)
+                        moves.append(g)
+                restrictions[zeros] = moves
+            for gp, gq, (g_coeff, g_img) in moves:
+                w = (up | (gp & zeros), uq | (gq & zeros))
+                if w in known:
                     continue
-                known[(wp, wq)] = _compose_witness(u_coeff, u_img, g_coeff, g_img)
-                queue.append((wp, wq))
+                known[w] = _compose_witness(u_coeff, u_img, g_coeff, g_img)
+                queue.append(w)
 
     witnesses = {}
     for (p, q), (coeff, img) in known.items():

@@ -22,6 +22,7 @@ __all__ = [
     "format_rational",
     "rref",
     "rank",
+    "integer_determinant",
     "nullspace_basis",
     "orth_complement",
     "schur_complement",
@@ -230,6 +231,39 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
 def rank(matrix: RationalMatrix) -> int:
     grid = [list(row) for row in matrix.data]
     return len(_rref_grid(grid))
+
+
+def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Fraction-free: every intermediate entry is a minor of the input, so each
+    division by the previous pivot is exact. A zero pivot is replaced by a
+    lower row, flipping the sign. The empty 0x0 matrix has determinant 1.
+    """
+    grid = [list(row) for row in rows]
+    size = len(grid)
+    if any(len(row) != size for row in grid):
+        raise DimensionError("determinant of a non-square matrix")
+    if not size:
+        return 1
+    sign = 1
+    prev = 1
+    for c in range(size - 1):
+        if not grid[c][c]:
+            swap = next((i for i in range(c + 1, size) if grid[i][c]), None)
+            if swap is None:
+                return 0
+            grid[c], grid[swap] = grid[swap], grid[c]
+            sign = -sign
+        lead = grid[c]
+        pivot = lead[c]
+        for i in range(c + 1, size):
+            row = grid[i]
+            f = row[c]
+            for j in range(c + 1, size):
+                row[j] = (pivot * row[j] - f * lead[j]) // prev
+        prev = pivot
+    return sign * grid[-1][-1]
 
 
 def _nullspace_columns(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple]:

@@ -1,6 +1,9 @@
 """Sign vectors of subspaces: enumeration, witnesses, membership, duality."""
 
+from collections import deque
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from random import Random
 
 import pytest
@@ -19,7 +22,7 @@ from signrank.rational import (
     nullspace_basis,
     orth_complement,
 )
-from signrank.signs import SignVector, sign_of_vector
+from signrank.signs import SignVector, all_sign_vectors, sign_of_vector
 
 
 def span(n, *vectors):
@@ -41,6 +44,92 @@ def brute_force_plane_signs(basis_cols, n, span_range=8):
 
     rec(0, [Fraction(0)] * n)
     return out
+
+
+# Reference enumerator: the original Fraction implementation of
+# sign_vectors. Cocircuits come from Fraction null spaces of (k-1)-row
+# submatrices, the closure composes every vector with every generator, and
+# each witness step is a Fraction. sign_vectors must reproduce its sign
+# sets, its witnesses and its insertion order exactly.
+
+
+def _ref_primitive(coeff, image):
+    mult = 1
+    for f in list(coeff) + list(image):
+        mult = mult * f.denominator // gcd(mult, f.denominator)
+    ints = [int(f * mult) for f in coeff] + [int(f * mult) for f in image]
+    g = gcd(*ints)
+    ints = [v // g for v in ints]
+    return tuple(ints[: len(coeff)]), tuple(ints[len(coeff) :])
+
+
+def _ref_pack(values):
+    sv = sign_of_vector(values)
+    return sv.pos, sv.neg
+
+
+def _ref_cocircuit_candidates(basis):
+    n, k = basis.rows, basis.cols
+    found = {}
+    for subset in combinations(range(n), k - 1):
+        sub = RationalMatrix([basis.row(i) for i in subset], cols=k)
+        null = nullspace_basis(sub)
+        if null.dim != 1:
+            continue
+        z = null.basis.column(0)
+        coeff, img = _ref_primitive(z, basis.apply(z))
+        key = _ref_pack(img)
+        if key not in found:
+            found[key] = (coeff, img)
+            found[(key[1], key[0])] = (
+                tuple(-v for v in coeff),
+                tuple(-v for v in img),
+            )
+    return [(p, q, c, v) for (p, q), (c, v) in found.items()]
+
+
+def _ref_compose_witness(u_coeff, u_img, g_coeff, g_img):
+    step = None
+    for ui, gi in zip(u_img, g_img):
+        if ui and gi:
+            bound = Fraction(abs(ui), 2 * abs(gi))
+            if step is None or bound < step:
+                step = bound
+    if step is None:
+        step = Fraction(1)
+    a, b = step.numerator, step.denominator
+    coeff = [b * u + a * g for u, g in zip(u_coeff, g_coeff)]
+    image = [b * u + a * g for u, g in zip(u_img, g_img)]
+    g = gcd(*coeff, *image)
+    return tuple(v // g for v in coeff), tuple(v // g for v in image)
+
+
+def reference_sign_vectors(subspace):
+    """(sign vectors in canonical order, witnesses in insertion order)."""
+    n, k = subspace.ambient_dim, subspace.dim
+    known = {(0, 0): ((0,) * k, (0,) * n)}
+    if k > 0:
+        generators = _ref_cocircuit_candidates(subspace.basis)
+        generators.sort(key=lambda g: SignVector(n, g[0], g[1]).sort_key())
+        queue = deque()
+        for p, q, coeff, img in generators:
+            if (p, q) not in known:
+                known[(p, q)] = (coeff, img)
+                queue.append((p, q))
+        gens = [(p, q, known[(p, q)]) for p, q, _, _ in generators]
+        while queue:
+            up, uq = queue.popleft()
+            u_coeff, u_img = known[(up, uq)]
+            usupp = up | uq
+            for gp, gq, (g_coeff, g_img) in gens:
+                w = (up | (gp & ~usupp), uq | (gq & ~usupp))
+                if w in known or w == (up, uq):
+                    continue
+                known[w] = _ref_compose_witness(u_coeff, u_img, g_coeff, g_img)
+                queue.append(w)
+    witnesses = [(SignVector(n, p, q), coeff) for (p, q), (coeff, _) in known.items()]
+    vectors = sorted((sv for sv, _ in witnesses), key=SignVector.sort_key)
+    return vectors, witnesses
 
 
 class TestSignVectors:
@@ -80,6 +169,33 @@ class TestSignVectors:
             cols = [space.basis.column(j) for j in range(k)]
             brute = brute_force_plane_signs(cols, n, span_range=6)
             assert brute <= set(report.signs)
+
+    def test_matches_fraction_reference(self):
+        rng = Random(67)
+        for n in range(1, 8):
+            for k in range(0, n + 1):
+                for _ in range(3):
+                    space = random_subspace(n, k, rng)
+                    report = sign_vectors(space)
+                    vectors, witnesses = reference_sign_vectors(space)
+                    assert list(report.signs.vectors) == vectors
+                    assert list(report.witnesses.items()) == witnesses
+
+    def test_matches_fraction_reference_on_complements(self):
+        rng = Random(71)
+        for n in range(2, 7):
+            for k in range(1, n):
+                space = orth_complement(random_subspace(n, k, rng))
+                vectors, witnesses = reference_sign_vectors(space)
+                report = sign_vectors(space)
+                assert list(report.signs.vectors) == vectors
+                assert list(report.witnesses.items()) == witnesses
+
+    def test_witness_is_primitive_on_the_rational_ray(self):
+        # (x, Bx) = (6, (3, 2)) is the primitive integer point; scaling each
+        # row of B to integers separately would keep the signs but give x = 1
+        line = RationalSubspace(2, RationalMatrix([[Fraction(1, 2)], [Fraction(1, 3)]]))
+        assert sign_vectors(line).witnesses[SignVector.from_string("++")] == (6,)
 
     def test_witnesses_verify_exactly(self):
         rng = Random(29)
@@ -149,17 +265,16 @@ class TestMemberWitness:
             member_witness(span(2, (1, 0)), SignVector.from_string("+"))
 
     def test_agrees_with_enumeration(self):
+        # Fourier-Motzkin decides every one of the 3^n candidates on its own
         rng = Random(43)
-        for _ in range(15):
-            n = rng.randint(1, 4)
-            k = rng.randint(0, n)
-            space = random_subspace(n, k, rng)
-            enumerated = set(sign_vectors(space).signs)
-            from signrank.signs import all_sign_vectors
-
-            for s in all_sign_vectors(n):
-                witness = member_witness(space, s)
-                assert (witness is not None) == (s in enumerated)
+        for n in range(1, 6):
+            for k in range(0, n + 1):
+                for _ in range(2):
+                    space = random_subspace(n, k, rng)
+                    enumerated = set(sign_vectors(space).signs)
+                    for s in all_sign_vectors(n):
+                        witness = member_witness(space, s)
+                        assert (witness is not None) == (s in enumerated)
 
 
 class TestVerifyDuality:

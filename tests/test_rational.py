@@ -1,7 +1,8 @@
 """Exact linear algebra kernel."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from signrank.rational import (
     RationalMatrix,
     RationalSubspace,
     format_rational,
+    integer_determinant,
     nullspace_basis,
     orth_complement,
     parse_rational,
@@ -117,6 +119,69 @@ class TestRank:
         r = rank(m)
         assert r == rank(m.transpose())
         assert r + nullspace_basis(m).dim == m.cols
+
+
+def leibniz_determinant(rows):
+    """Sum over permutations; independent of any elimination order."""
+    size = len(rows)
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(
+            1 for i in range(size) for j in range(i + 1, size) if perm[i] > perm[j]
+        )
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+class TestIntegerDeterminant:
+    def test_empty_matrix_is_one(self):
+        # the 0 x 0 block of a k = 1 cocircuit
+        assert integer_determinant([]) == 1
+
+    def test_one_by_one(self):
+        assert integer_determinant([[-7]]) == -7
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        assert integer_determinant([[0, 1], [1, 0]]) == -1
+        assert integer_determinant([[0, 2, 1], [3, 1, 0], [1, 0, 4]]) == leibniz_determinant(
+            [[0, 2, 1], [3, 1, 0], [1, 0, 4]]
+        )
+
+    def test_zero_pivot_deeper_in_the_elimination(self):
+        rows = [[1, 2, 3], [2, 4, 7], [1, 5, 1]]
+        assert integer_determinant(rows) == leibniz_determinant(rows) == -3
+
+    def test_singular(self):
+        assert integer_determinant([[1, 2], [2, 4]]) == 0
+        assert integer_determinant([[0, 0, 1], [0, 0, 2], [3, 4, 5]]) == 0
+        assert integer_determinant([[0, 0], [0, 0]]) == 0
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            integer_determinant([[1, 2]])
+
+    def test_does_not_modify_input(self):
+        rows = [[0, 1], [1, 1]]
+        integer_determinant(rows)
+        assert rows == [[0, 1], [1, 1]]
+
+    def test_random_against_leibniz_and_rank(self):
+        rng = Random(61)
+        for _ in range(300):
+            size = rng.randint(1, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+            if rng.random() < 0.3:
+                # force a dependent row
+                a, b = rng.sample(range(size), 2) if size > 1 else (0, 0)
+                rows[a] = [rng.randint(-2, 2) * v for v in rows[b]]
+            if rng.random() < 0.3:
+                rows[0][0] = 0
+            det = integer_determinant(rows)
+            assert det == leibniz_determinant(rows)
+            assert (det != 0) == (rank(RationalMatrix(rows)) == size)
 
 
 class TestNullspace:
