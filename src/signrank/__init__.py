@@ -42,9 +42,11 @@ from .rank2 import (
     Mr2Certificate,
     Rank2Type,
     enumerate_rank2_types,
+    find_plane_type,
     mr_le_2,
     realize_rank2,
     sign_set_of_type,
+    type_sign_sets,
 )
 from .minrank import (
     Certificate,

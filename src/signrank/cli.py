@@ -13,7 +13,6 @@ schema tag 1) so identical runs are byte-identical.
 
 import argparse
 import json
-import os
 import sys
 from random import Random
 
@@ -27,19 +26,6 @@ SCHEMA = 1
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
-
-
-def worker_count() -> int:
-    """Workers for bulk verification; SIGNRANK_THREADS is the only
-    environment knob, default 1 (results never depend on it)."""
-    raw = os.environ.get("SIGNRANK_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SignRankError(f"SIGNRANK_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise SignRankError("SIGNRANK_THREADS must be at least 1")
-    return value
 
 
 def _emit_json(payload: dict) -> None:
@@ -66,6 +52,14 @@ def _matrix_json(matrix: RationalMatrix) -> list[list[str]]:
     return [[format_rational(e) for e in row] for row in matrix.data]
 
 
+def _plane_type_json(plane_type: rank2.Rank2Type) -> dict:
+    return {
+        "zero_set": list(plane_type.zero_set),
+        "classes": [list(c) for c in plane_type.classes],
+        "orientations": list(plane_type.orientations),
+    }
+
+
 def _cmd_mr(args) -> int:
     pattern = _read_pattern(args.pattern)
     bracket = minrank.min_rank(pattern, budget_ms=args.budget_ms, seed=args.seed)
@@ -78,11 +72,7 @@ def _cmd_mr(args) -> int:
         elif isinstance(payload, RationalMatrix):
             entry["matrix"] = _matrix_json(payload)
         elif isinstance(payload, rank2.Rank2Type):
-            entry["type"] = {
-                "zero_set": list(payload.zero_set),
-                "classes": [list(c) for c in payload.classes],
-                "orientations": list(payload.orientations),
-            }
+            entry["type"] = _plane_type_json(payload)
         elif isinstance(payload, rank2.Mr2Certificate):
             entry["signature"] = list(payload.signature)
             entry["column_order"] = list(payload.column_order)
@@ -133,13 +123,6 @@ def _cmd_signs(args) -> int:
     return EXIT_OK
 
 
-def _duality_trial(task: tuple[int, int, int, int]) -> tuple[int, bool]:
-    seed, n, k, index = task
-    rng = Random((seed << 20) ^ (n << 10) ^ (k << 5) ^ index)
-    check = covectors.verify_duality(covectors.random_subspace(n, k, rng))
-    return index, check.ok
-
-
 def _cmd_duality(args) -> int:
     if args.random is None:
         if not args.matrix:
@@ -164,28 +147,22 @@ def _cmd_duality(args) -> int:
     if n is None or n < 2:
         print("duality-check --random needs --n at least 2", file=sys.stderr)
         return EXIT_USAGE
-    tasks = []
-    for i in range(args.random):
+    trials = range(args.random)
+    failures = []
+    for i in trials:
         k = args.k if args.k is not None else (i % (n - 1)) + 1
         if not 1 <= k <= n - 1:
             print("duality-check: --k must be between 1 and n-1", file=sys.stderr)
             return EXIT_USAGE
-        tasks.append((args.seed, n, k, i))
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = sorted(pool.map(_duality_trial, tasks))
-    else:
-        results = [_duality_trial(t) for t in tasks]
-    verified = sum(1 for _, ok in results if ok)
-    failures = [i for i, ok in results if not ok]
+        rng = Random((args.seed << 20) ^ (n << 10) ^ (k << 5) ^ i)
+        if not covectors.verify_duality(covectors.random_subspace(n, k, rng)).ok:
+            failures.append(i)
+    verified = len(trials) - len(failures)
     if args.json:
-        _emit_json({"trials": len(tasks), "verified": verified, "failures": failures})
+        _emit_json({"trials": len(trials), "verified": verified, "failures": failures})
     else:
-        print(f"{verified}/{len(tasks)} verified")
-    return EXIT_OK if verified == len(tasks) else EXIT_INCONCLUSIVE
+        print(f"{verified}/{len(trials)} verified")
+    return EXIT_OK if not failures else EXIT_INCONCLUSIVE
 
 
 def _cmd_perp(args) -> int:
@@ -274,11 +251,7 @@ def _cmd_realize_nm2(args) -> int:
         _write_matrix(args.out, result.matrix)
     trace = {
         "rank": result.claimed_rank,
-        "plane_type": {
-            "zero_set": list(result.plane_type.zero_set),
-            "classes": [list(c) for c in result.plane_type.classes],
-            "orientations": list(result.plane_type.orientations),
-        },
+        "plane_type": _plane_type_json(result.plane_type),
         "plane_basis": _matrix_json(result.plane.basis),
         "complement_basis": _matrix_json(result.complement.basis),
         "column_witnesses": [
@@ -376,9 +349,21 @@ def _cmd_extremal(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selftest
 
-    results = selftest.run_all(log=print)
+    results = selftest.run_all(log=None if args.json else print)
     passed = sum(1 for r in results if r.passed)
-    print(f"{passed}/{len(results)} checks passed")
+    if args.json:
+        _emit_json(
+            {
+                "checks": [
+                    {"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
+                    for r in results
+                ],
+                "passed": passed,
+                "total": len(results),
+            }
+        )
+    else:
+        print(f"{passed}/{len(results)} checks passed")
     return EXIT_OK if passed == len(results) else EXIT_INCONCLUSIVE
 
 
@@ -452,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rationalize)
 
     p = sub.add_parser("extremal", help="reproduced extremal sign-vector counts")
-    p.add_argument("--table", action="store_true", help="print the full table (default)")
     p.add_argument("--n", type=int, default=None, help="largest ambient dimension (2..6)")
     common(p, seed=True)
     p.set_defaults(func=_cmd_extremal)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .covectors import random_subspace, sign_vectors
 from .errors import DimensionError
-from .rank2 import _iter_raw_types, _packed_sign_set, mr_le_2, realize_rank2
+from .rank2 import mr_le_2, realize_rank2, type_sign_sets
 from .rational import RationalMatrix, RationalSubspace, orth_complement
 from .signs import SignPattern, SignVector, set_perp
 
@@ -94,9 +94,7 @@ def s2_exhaustive_max(n: int) -> ExtremalReport:
     detail carries the full set of achieved cardinalities."""
     if not 2 <= n <= 6:
         raise DimensionError("exhaustive 2-dimensional search supported for 2 <= n <= 6")
-    achieved = set()
-    for _, class_masks, neg_mask in _iter_raw_types(n, min_classes=2):
-        achieved.add(len(_packed_sign_set(class_masks, neg_mask)))
+    achieved = {len(sign_set) for sign_set in type_sign_sets(n, min_classes=2)}
     return ExtremalReport(n=n, k=2, kind="max", count=max(achieved),
                           formula_value=4 * n + 1, detail=tuple(sorted(achieved)))
 

@@ -7,15 +7,17 @@ search (mr <= d-2); and the leftover rung mr = d-1. The ladder is exact
 whenever it closes the gap, which is guaranteed for d <= 5; for d >= 6 a
 bracket [3, d-2] remains, refined by the term rank and by randomized
 low-rank factorization witnesses.
+
+The type search itself lives in rank2.find_plane_type, shared with the
+rank n-2 realization in realize; mr_le_n_minus_2 runs it on the rows.
 """
 
-import time
 from dataclasses import dataclass
 from random import Random
 from typing import Any, Optional
 
 from .errors import BudgetExceededError, InternalCheckError
-from .rank2 import Rank2Type, _iter_raw_types, _raw_to_type, _walk_covectors, mr_le_2, realize_rank2
+from .rank2 import Rank2Type, find_plane_type, mr_le_2, realize_rank2
 from .rational import RationalMatrix
 from .signs import SignPattern, SignVector, condense_with_trace, max_rank_matching, set_perp, sign_of
 
@@ -73,41 +75,16 @@ def is_L_matrix(pattern: SignPattern) -> tuple[bool, Optional[SignVector]]:
     return True, None
 
 
-def _rows_packed(pattern: SignPattern) -> list[tuple[int, int]]:
-    return [(r.pos, r.neg) for r in pattern.row_vectors]
-
-
-def _type_admits(rows: list[tuple[int, int]], covectors: list[tuple[int, int]]) -> bool:
-    for wp, wq in covectors:
-        for sp, sq in rows:
-            if bool((sp & wp) | (sq & wq)) != bool((sp & wq) | (sq & wp)):
-                return False
-    return True
-
-
 def mr_le_n_minus_2(
     pattern: SignPattern, budget_ms: int | None = None
 ) -> Optional[Rank2Type]:
     """A 2-dimensional type whose sign set is orthogonal to every row, iff
-    the minimum rank is at most cols-2.
+    the minimum rank is at most cols-2 (see rank2.find_plane_type).
 
-    Every row being orthogonal to the whole sign set of the type's plane M
-    puts the rows inside sign(M^perp), a subspace of dimension cols-2;
-    completeness over all real 2-dimensional planes holds because every
-    such sign set is some type's sign set. Returns None after exhausting
-    the finite type space (a definitive negative).
+    Returns None after exhausting the finite type space (a definitive
+    negative) and raises BudgetExceededError when budget_ms runs out.
     """
-    n = pattern.cols
-    rows = _rows_packed(pattern)
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    counter = 0
-    for zero_mask, class_masks, neg_mask in _iter_raw_types(n, min_classes=2):
-        counter += 1
-        if deadline is not None and counter % 1024 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError("type search ran out of budget")
-        if _type_admits(rows, _walk_covectors(class_masks, neg_mask)):
-            return _raw_to_type(n, zero_mask, class_masks, neg_mask)
-    return None
+    return find_plane_type(pattern.row_vectors, pattern.cols, budget_ms)
 
 
 def mr_eq_n_minus_1(pattern: SignPattern, budget_ms: int | None = None) -> bool:

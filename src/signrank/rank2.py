@@ -6,14 +6,21 @@ Three related pieces live here:
   signature/column-order search for simultaneous row monotonicity;
 * a constructive rational rank-2 realization for every certificate the
   test produces;
-* exhaustive enumeration of the combinatorial types of 2-dimensional
-  subspaces of R^n (zero coordinates, signed parallel classes of the
-  inducing directions in slope order), each with a small integer
-  representative subspace. The sign set of a type is read off a circular
-  walk around the 2-dimensional parameter plane: crossing the c class
-  lines in slope order visits c sectors-plus-rays whose class-level signs
-  are a +prefix/-suffix; expanding classes through their member
-  orientations and closing under negation gives the full 4c+1 vectors.
+* the space of combinatorial types of 2-dimensional subspaces of R^n
+  (zero coordinates, signed parallel classes of the inducing directions
+  in slope order), each with a small integer representative subspace.
+  The sign set of a type is read off a circular walk around the
+  2-dimensional parameter plane: crossing the c class lines in slope
+  order visits c sectors-plus-rays whose class-level signs are a
+  +prefix/-suffix; expanding classes through their member orientations
+  and closing under negation gives the full 4c+1 vectors.
+
+The type space is walked in one canonical order by every consumer:
+enumerate_rank2_types pairs each type with its representative,
+type_sign_sets yields the sign sets alone, and find_plane_type is the
+one search for a plane whose sign set is orthogonal to a list of sign
+vectors. That search decides mr <= n-2 in minrank and supplies the plane
+of the rank n-2 realization in realize; its first hit is the certificate.
 
 Orientation canon: only the lowest-indexed nonzero coordinate is pinned
 to +, which quotients exactly the global-negation symmetry (a basis and
@@ -25,7 +32,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InternalCheckError
 from .rational import RationalMatrix, RationalSubspace, rank
@@ -44,7 +51,9 @@ __all__ = [
     "mr_le_2",
     "realize_rank2",
     "enumerate_rank2_types",
+    "find_plane_type",
     "sign_set_of_type",
+    "type_sign_sets",
 ]
 
 # Width of the signature/permutation search beyond which an explicit
@@ -206,6 +215,46 @@ def enumerate_rank2_types(n: int) -> Iterator[tuple[Rank2Type, RationalSubspace]
     for zero_mask, class_masks, neg_mask in _iter_raw_types(n):
         t = _raw_to_type(n, zero_mask, class_masks, neg_mask)
         yield t, t.representative()
+
+
+def type_sign_sets(n: int, min_classes: int = 0) -> Iterator[set[tuple[int, int]]]:
+    """The packed sign set, as (pos, neg) mask pairs, of every type with at
+    least min_classes classes, in the canonical type order."""
+    for _, class_masks, neg_mask in _iter_raw_types(n, min_classes):
+        yield _packed_sign_set(class_masks, neg_mask)
+
+
+def _type_admits(lines: list[tuple[int, int]], covectors: list[tuple[int, int]]) -> bool:
+    for wp, wq in covectors:
+        for sp, sq in lines:
+            if bool((sp & wp) | (sq & wq)) != bool((sp & wq) | (sq & wp)):
+                return False
+    return True
+
+
+def find_plane_type(
+    lines: Sequence[SignVector], n: int, budget_ms: int | None = None
+) -> Optional[Rank2Type]:
+    """The first type with at least two classes, in the canonical order,
+    whose sign set is orthogonal to every line; None once the type space
+    is exhausted.
+
+    A hit puts every line inside sign(M^perp) for the type's plane M, a
+    subspace of dimension n-2; no hit is a definitive negative because
+    every real 2-dimensional plane has some type's sign set. Raises
+    BudgetExceededError once budget_ms has passed (checked every 1024
+    types).
+    """
+    packed = [(v.pos, v.neg) for v in lines]
+    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    for counter, (zero_mask, class_masks, neg_mask) in enumerate(
+        _iter_raw_types(n, min_classes=2), start=1
+    ):
+        if deadline is not None and counter % 1024 == 0 and time.monotonic() > deadline:
+            raise BudgetExceededError("type search ran out of budget")
+        if _type_admits(packed, _walk_covectors(class_masks, neg_mask)):
+            return _raw_to_type(n, zero_mask, class_masks, neg_mask)
+    return None
 
 
 @dataclass(frozen=True)

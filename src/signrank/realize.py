@@ -2,11 +2,13 @@
 
 realize_corank2 reads an n x m pattern columnwise (columns are sign
 vectors of R^n) and builds a rational matrix with those signs and rank at
-most n-2: it finds a 2-dimensional type whose sign set is orthogonal to
-every column, takes the rational orthogonal complement K of the type's
-plane, and realizes each column by an exact strict-feasibility witness
-inside K. Exhausting the finite type space without a hit is a definitive
-negative (minimum rank exceeds n-2), distinct from running out of budget.
+most n-2: rank2.find_plane_type finds a 2-dimensional type whose sign set
+is orthogonal to every column (the same search, and so the same first
+hit, that minrank.mr_le_n_minus_2 runs on the transpose); the rational
+orthogonal complement K of the type's plane then realizes each column by
+an exact strict-feasibility witness inside K. Exhausting the finite type
+space without a hit is a definitive negative (minimum rank exceeds n-2),
+distinct from running out of budget.
 
 rationalize_equation lifts this to matrix equations B C = E whose E has
 two columns (or two rows, via transposition): a block pattern with an
@@ -15,16 +17,14 @@ real solution with those signs, and the zero Schur complement of any such
 realization yields the exact rational triple.
 """
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .covectors import member_witness
-from .errors import DimensionError, InternalCheckError
-from .rank2 import Rank2Type, _iter_raw_types, _raw_to_type, _walk_covectors
+from .errors import BudgetExceededError, DimensionError, InternalCheckError
+from .rank2 import Rank2Type, find_plane_type
 from .rational import RationalMatrix, RationalSubspace, orth_complement, rank, schur_complement
-from .minrank import _type_admits
 from .signs import SignPattern, SignVector, sign_of
 
 __all__ = [
@@ -86,45 +86,40 @@ def realize_corank2(pattern: SignPattern, budget_ms: int | None = None) -> Reali
     n = pattern.rows
     if n < 2:
         raise DimensionError("corank-2 realization needs at least 2 rows")
-    columns = [(c.pos, c.neg) for c in pattern.column_vectors()]
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    counter = 0
-    for zero_mask, class_masks, neg_mask in _iter_raw_types(n, min_classes=2):
-        counter += 1
-        if deadline is not None and counter % 1024 == 0 and time.monotonic() > deadline:
-            return RealizeOutcome(STATUS_BUDGET, None)
-        if not _type_admits(columns, _walk_covectors(class_masks, neg_mask)):
-            continue
-        plane_type = _raw_to_type(n, zero_mask, class_masks, neg_mask)
-        plane = plane_type.representative()
-        complement = orth_complement(plane)
-        witnesses = []
-        for j in range(pattern.cols):
-            x = member_witness(complement, pattern.column(j))
-            if x is None:
-                raise InternalCheckError(
-                    "column accepted by the type search has no witness in the complement"
-                )
-            witnesses.append(x)
-        basis = complement.basis
-        matrix = RationalMatrix.from_columns([basis.apply(x) for x in witnesses], rows=n)
-        if sign_of(matrix) != pattern:
-            raise InternalCheckError("assembled realization has wrong signs")
-        realized_rank = rank(matrix)
-        if realized_rank > n - 2:
-            raise InternalCheckError("assembled realization exceeds the target rank")
-        return RealizeOutcome(
-            STATUS_OK,
-            RealizationResult(
-                matrix=matrix,
-                claimed_rank=realized_rank,
-                plane_type=plane_type,
-                plane=plane,
-                complement=complement,
-                column_witnesses=tuple(witnesses),
-            ),
-        )
-    return RealizeOutcome(STATUS_EXHAUSTED, None)
+    try:
+        plane_type = find_plane_type(pattern.column_vectors(), n, budget_ms)
+    except BudgetExceededError:
+        return RealizeOutcome(STATUS_BUDGET, None)
+    if plane_type is None:
+        return RealizeOutcome(STATUS_EXHAUSTED, None)
+    plane = plane_type.representative()
+    complement = orth_complement(plane)
+    witnesses = []
+    for j in range(pattern.cols):
+        x = member_witness(complement, pattern.column(j))
+        if x is None:
+            raise InternalCheckError(
+                "column accepted by the type search has no witness in the complement"
+            )
+        witnesses.append(x)
+    basis = complement.basis
+    matrix = RationalMatrix.from_columns([basis.apply(x) for x in witnesses], rows=n)
+    if sign_of(matrix) != pattern:
+        raise InternalCheckError("assembled realization has wrong signs")
+    realized_rank = rank(matrix)
+    if realized_rank > n - 2:
+        raise InternalCheckError("assembled realization exceeds the target rank")
+    return RealizeOutcome(
+        STATUS_OK,
+        RealizationResult(
+            matrix=matrix,
+            claimed_rank=realized_rank,
+            plane_type=plane_type,
+            plane=plane,
+            complement=complement,
+            column_witnesses=tuple(witnesses),
+        ),
+    )
 
 
 def _compose_shapes(sB: SignPattern, sC: SignPattern, sE: SignPattern) -> None:

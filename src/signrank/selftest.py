@@ -27,7 +27,7 @@ from .extremal import (
     t1t2_pattern,
 )
 from .minrank import is_L_matrix, min_rank
-from .rank2 import _iter_raw_types, _packed_sign_set, mr_le_2, realize_rank2
+from .rank2 import mr_le_2, realize_rank2, type_sign_sets
 from .rational import RationalMatrix, rank
 from .realize import STATUS_EXHAUSTED, rationalize_equation, realize_corank2
 from .signs import (
@@ -143,11 +143,10 @@ def _rank2_oracle(pattern: SignPattern) -> bool:
     if cond.rows == 0 or cond.cols == 0:
         return False
     rows = [(r.pos, r.neg) for r in cond.row_vectors]
-    for _, class_masks, neg_mask in _iter_raw_types(cond.cols, min_classes=2):
-        sign_set = _packed_sign_set(class_masks, neg_mask)
-        if all(r in sign_set for r in rows):
-            return True
-    return False
+    return any(
+        all(r in sign_set for r in rows)
+        for sign_set in type_sign_sets(cond.cols, min_classes=2)
+    )
 
 
 def check_rank2_characterization() -> tuple[bool, str]:
@@ -296,13 +295,8 @@ def check_oddness_closure() -> tuple[bool, str]:
         collected.append(sign_vectors(s_hyperplane_max(n, samples=0).witness).signs)
         collected.append(sign_vectors(s3_lower_witness(n).witness).signs)
     for n in range(1, 5):
-        for zero_mask, class_masks, neg_mask in _iter_raw_types(n):
-            collected.append(
-                SignVectorSet(
-                    n,
-                    (SignVector(n, p, q) for p, q in _packed_sign_set(class_masks, neg_mask)),
-                )
-            )
+        for sign_set in type_sign_sets(n):
+            collected.append(SignVectorSet(n, (SignVector(n, p, q) for p, q in sign_set)))
     for s in collected:
         if len(s) % 2 != 1:
             return False, "even sign-set cardinality encountered"

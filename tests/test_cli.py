@@ -197,7 +197,7 @@ class TestRationalize:
 
 class TestExtremal:
     def test_table_contains_headline_values(self, capsys):
-        code, out, _ = run(capsys, ["extremal", "--table", "--n", "3"])
+        code, out, _ = run(capsys, ["extremal", "--n", "3"])
         assert code == EXIT_OK
         assert "| 3 | 13 | 13 |" in out
 
@@ -235,6 +235,28 @@ class TestBudgetAndSelftestExits:
         code, out, _ = run(capsys, ["selftest"])
         assert code == EXIT_INCONCLUSIVE and "FAIL" in out
 
+    def test_selftest_json_report(self, capsys, monkeypatch):
+        from signrank import selftest
+
+        checks = [("first", lambda: (True, "ok")), ("second", lambda: (False, "broken"))]
+        monkeypatch.setattr(selftest, "CHECKS", checks)
+        code, out, _ = run(capsys, ["selftest", "--json"])
+        assert code == EXIT_INCONCLUSIVE
+        assert json.loads(out) == {
+            "schema": 1,
+            "checks": [
+                {"index": 1, "name": "first", "passed": True, "detail": "ok"},
+                {"index": 2, "name": "second", "passed": False, "detail": "broken"},
+            ],
+            "passed": 1,
+            "total": 2,
+        }
+        _, again, _ = run(capsys, ["selftest", "--json"])
+        assert again == out
+        monkeypatch.setattr(selftest, "CHECKS", checks[:1])
+        code, out, _ = run(capsys, ["selftest", "--json"])
+        assert code == EXIT_OK and json.loads(out)["passed"] == 1
+
 
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, capsys, write):
@@ -244,20 +266,3 @@ class TestDeterminism:
             _, out, _ = run(capsys, ["mr", path, "--json", "--seed", "0"])
             outputs.add(out)
         assert len(outputs) == 1
-
-
-class TestWorkerPool:
-    def test_thread_env_does_not_change_results(self, capsys, monkeypatch):
-        argv = ["duality-check", "--random", "6", "--n", "3", "--seed", "1", "--json"]
-        monkeypatch.setenv("SIGNRANK_THREADS", "1")
-        _, sequential, _ = run(capsys, argv)
-        monkeypatch.setenv("SIGNRANK_THREADS", "2")
-        _, parallel, _ = run(capsys, argv)
-        assert sequential == parallel
-
-    def test_invalid_thread_env_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIGNRANK_THREADS", "zero")
-        code, _, err = run(
-            capsys, ["duality-check", "--random", "2", "--n", "3"]
-        )
-        assert code == EXIT_USAGE

@@ -1,0 +1,41 @@
+"""Module boundaries: package modules import only each other's public names."""
+
+import ast
+from pathlib import Path
+
+import signrank
+
+PACKAGE_DIR = Path(signrank.__file__).parent
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore names that `source` imports from a sibling package module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "signrank":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.startswith("__"):
+                found.append(f"{node.module or '.'}.{alias.name}")
+    return found
+
+
+def test_detector_sees_relative_and_absolute_forms():
+    source = (
+        "from .rank2 import Rank2Type, _walk_covectors\n"
+        "from signrank.minrank import (\n    _type_admits,\n)\n"
+        "from itertools import _private_elsewhere\n"
+        "from . import __version__\n"
+    )
+    assert private_sibling_imports(source) == ["rank2._walk_covectors", "signrank.minrank._type_admits"]
+
+
+def test_no_module_imports_a_private_sibling_name():
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := private_sibling_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}

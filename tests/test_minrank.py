@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from signrank.errors import BudgetExceededError
 from signrank.minrank import (
     is_L_matrix,
     min_rank,
@@ -89,6 +90,12 @@ class TestMrLeNMinus2:
             sign_set = sign_set_of_type(t)
             for r in pattern.row_vectors:
                 assert all(orthogonal(r, w) for w in sign_set)
+
+    def test_zero_budget_raises_on_identity(self):
+        # the 6x6 identity admits no plane, so the search reaches its first
+        # deadline check (type 1024) and must stop there
+        with pytest.raises(BudgetExceededError):
+            mr_le_n_minus_2(identity_pattern(6), budget_ms=0)
 
 
 class TestMrEqNMinus1:

@@ -9,12 +9,14 @@ from signrank.covectors import sign_vectors
 from signrank.errors import BudgetExceededError
 from signrank.rank2 import (
     enumerate_rank2_types,
+    find_plane_type,
     mr_le_2,
     realize_rank2,
     sign_set_of_type,
+    type_sign_sets,
 )
 from signrank.rational import RationalMatrix, RationalSubspace, rank
-from signrank.signs import SignPattern, condense, sign_of
+from signrank.signs import SignPattern, SignVector, SignVectorSet, condense, orthogonal, sign_of
 
 
 def t1t2(n):
@@ -269,3 +271,44 @@ class TestTypeEnumeration:
         assert sizes[0] == {1}
         assert sizes[1] == {3}
         assert sizes[2] == {9}
+
+
+class TestTypeSignSets:
+    def test_exact_counts_of_two_dimensional_types(self):
+        # raw types with >= 2 classes and their distinct sign sets
+        expected = {2: (4, 1), 3: (60, 13), 4: (808, 146), 5: (12120, 1802)}
+        for n, (raw, distinct) in expected.items():
+            sets = [frozenset(s) for s in type_sign_sets(n, min_classes=2)]
+            assert (len(sets), len(set(sets))) == (raw, distinct)
+
+    def test_same_order_and_sets_as_the_type_enumeration(self):
+        for n in (1, 2, 3, 4):
+            direct = [
+                SignVectorSet(n, (SignVector(n, p, q) for p, q in s)) for s in type_sign_sets(n)
+            ]
+            assert direct == [sign_set_of_type(t) for t, _ in enumerate_rank2_types(n)]
+
+
+class TestFindPlaneType:
+    def test_first_hit_matches_the_definition(self):
+        # the definition, through public types: the first plane type in
+        # enumeration order whose whole sign set is orthogonal to every line
+        planes = {
+            n: [(t, sign_set_of_type(t)) for t, _ in enumerate_rank2_types(n) if t.num_classes >= 2]
+            for n in (2, 3, 4)
+        }
+        rng = Random(97)
+        hits = 0
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            lines = [
+                SignVector.from_signs([rng.choice((-1, 0, 1)) for _ in range(n)])
+                for _ in range(rng.randint(0, 3))
+            ]
+            expected = next(
+                (t for t, signs in planes[n] if all(orthogonal(v, w) for v in lines for w in signs)),
+                None,
+            )
+            assert find_plane_type(lines, n) == expected
+            hits += expected is not None
+        assert 0 < hits < 40

@@ -7,10 +7,12 @@ import pytest
 
 from signrank.covectors import sign_vectors
 from signrank.errors import DimensionError
+from signrank.minrank import mr_le_n_minus_2
 from signrank.rational import RationalMatrix, rank
 from signrank.realize import (
     STATUS_BUDGET,
     STATUS_EXHAUSTED,
+    STATUS_OK,
     rationalize_equation,
     realize_corank2,
 )
@@ -77,11 +79,31 @@ class TestRealizeCorank2:
             assert sign_of_vector(basis.apply(witness)) == pattern.column(j)
 
     def test_budget_can_interrupt(self):
-        pattern = SignPattern.from_strings(["+000", "0+00", "00+0", "000+"])
-        outcome = realize_corank2(pattern, budget_ms=0)
-        assert outcome.status in (STATUS_BUDGET, STATUS_EXHAUSTED)
-        if outcome.status == STATUS_BUDGET:
-            assert not outcome.definitive
+        # the 6x6 identity admits no plane, so a zero budget must cut the search
+        identity = SignPattern.from_grid([[int(i == j) for j in range(6)] for i in range(6)])
+        outcome = realize_corank2(identity, budget_ms=0)
+        assert outcome.status == STATUS_BUDGET and outcome.result is None
+        assert not outcome.definitive
+
+    def test_plane_is_the_type_search_hit_on_the_transpose(self):
+        # realize_corank2 reads columns and mr_le_n_minus_2 reads rows; both
+        # run one search, so the plane is the same first hit
+        rng = Random(83)
+        statuses = set()
+        for _ in range(60):
+            n = rng.randint(3, 5)
+            m = rng.randint(1, 6)
+            pattern = SignPattern.from_grid(
+                [[rng.choice((-1, 0, 1)) for _ in range(m)] for _ in range(n)]
+            )
+            outcome = realize_corank2(pattern)
+            searched = mr_le_n_minus_2(pattern.transpose())
+            statuses.add(outcome.status)
+            if searched is None:
+                assert outcome.status == STATUS_EXHAUSTED and outcome.result is None
+            else:
+                assert outcome.ok and outcome.result.plane_type == searched
+        assert statuses == {STATUS_OK, STATUS_EXHAUSTED}
 
     def test_single_row_rejected(self):
         with pytest.raises(DimensionError):
