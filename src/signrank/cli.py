@@ -147,13 +147,16 @@ def _cmd_duality(args) -> int:
     if n is None or n < 2:
         print("duality-check --random needs --n at least 2", file=sys.stderr)
         return EXIT_USAGE
+    if args.random < 0:
+        print("duality-check: --random must be at least 0", file=sys.stderr)
+        return EXIT_USAGE
+    if args.k is not None and not 1 <= args.k <= n - 1:
+        print("duality-check: --k must be between 1 and n-1", file=sys.stderr)
+        return EXIT_USAGE
     trials = range(args.random)
     failures = []
     for i in trials:
         k = args.k if args.k is not None else (i % (n - 1)) + 1
-        if not 1 <= k <= n - 1:
-            print("duality-check: --k must be between 1 and n-1", file=sys.stderr)
-            return EXIT_USAGE
         rng = Random((args.seed << 20) ^ (n << 10) ^ (k << 5) ^ i)
         if not covectors.verify_duality(covectors.random_subspace(n, k, rng)).ok:
             failures.append(i)

@@ -242,15 +242,16 @@ def find_plane_type(
     A hit puts every line inside sign(M^perp) for the type's plane M, a
     subspace of dimension n-2; no hit is a definitive negative because
     every real 2-dimensional plane has some type's sign set. Raises
-    BudgetExceededError once budget_ms has passed (checked every 1024
-    types).
+    BudgetExceededError once budget_ms has passed, checked before the first
+    type and then every 1024 types, so budget_ms=0 stops any search that
+    has a type to test.
     """
     packed = [(v.pos, v.neg) for v in lines]
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     for counter, (zero_mask, class_masks, neg_mask) in enumerate(
-        _iter_raw_types(n, min_classes=2), start=1
+        _iter_raw_types(n, min_classes=2)
     ):
-        if deadline is not None and counter % 1024 == 0 and time.monotonic() > deadline:
+        if deadline is not None and counter % 1024 == 0 and time.monotonic() >= deadline:
             raise BudgetExceededError("type search ran out of budget")
         if _type_admits(packed, _walk_covectors(class_masks, neg_mask)):
             return _raw_to_type(n, zero_mask, class_masks, neg_mask)

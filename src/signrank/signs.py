@@ -39,6 +39,19 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=32)
+def _sort_key_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each byte of an n-bit mask, the sum of 3^(n-1-i) over the
+    coordinates i set in each of its 256 values."""
+    tables = []
+    for start in range(0, n, 8):
+        weights = [3 ** (n - 1 - i) for i in range(start, min(start + 8, n))]
+        tables.append(
+            tuple(sum(w for t, w in enumerate(weights) if b >> t & 1) for b in range(256))
+        )
+    return tuple(tables)
+
+
 class SignVector:
     """An element of {+, 0, -}^n, stored as (positive, negative) bit masks."""
 
@@ -112,10 +125,14 @@ class SignVector:
         return tuple(i for i in range(self.n) if mask >> i & 1)
 
     def sort_key(self) -> int:
-        key = 0
+        """The base-3 number whose digits, coordinate 0 first, are 0, 1, 2
+        for 0, +, -; it orders vectors canonically."""
         pos, neg = self.pos, self.neg
-        for i in range(self.n):
-            key = 3 * key + (1 if pos >> i & 1 else 2 if neg >> i & 1 else 0)
+        key = 0
+        for table in _sort_key_tables(self.n):
+            key += table[pos & 0xFF] + 2 * table[neg & 0xFF]
+            pos >>= 8
+            neg >>= 8
         return key
 
     def orthogonal(self, other: "SignVector") -> bool:

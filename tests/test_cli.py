@@ -111,6 +111,15 @@ class TestDualityCheck:
         code, _, err = run(capsys, ["duality-check"])
         assert code == EXIT_USAGE
 
+    def test_negative_random_count(self, capsys):
+        code, out, err = run(capsys, ["duality-check", "--random", "-5", "--n", "3"])
+        assert code == EXIT_USAGE and out == "" and "--random" in err
+
+    def test_k_out_of_range_without_trials(self, capsys):
+        # --k is checked before the trial loop, so zero trials still reject it
+        code, out, err = run(capsys, ["duality-check", "--random", "0", "--n", "3", "--k", "99"])
+        assert code == EXIT_USAGE and out == "" and "--k" in err
+
 
 class TestPerpCondenseMaxrank:
     def test_perp(self, capsys, write):

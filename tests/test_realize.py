@@ -85,6 +85,13 @@ class TestRealizeCorank2:
         assert outcome.status == STATUS_BUDGET and outcome.result is None
         assert not outcome.definitive
 
+    def test_zero_budget_cuts_before_the_first_type(self):
+        # n = 4 has only 808 types, fewer than the 1024 between clock reads,
+        # so only the check before the first type can cut this search
+        identity = SignPattern.from_grid([[int(i == j) for j in range(4)] for i in range(4)])
+        outcome = realize_corank2(identity, budget_ms=0)
+        assert outcome.status == STATUS_BUDGET and outcome.result is None
+
     def test_plane_is_the_type_search_hit_on_the_transpose(self):
         # realize_corank2 reads columns and mr_le_n_minus_2 reads rows; both
         # run one search, so the plane is the same first hit

@@ -54,9 +54,18 @@ class TestSignVector:
 
     def test_sort_key_matches_lexicographic_encoding(self):
         code = {0: 0, 1: 1, -1: 2}
-        for v in all_sign_vectors(3):
-            expected = int("".join(str(code[s]) for s in v.signs()), 3)
-            assert v.sort_key() == expected
+
+        def expected(v):
+            return int("".join(str(code[s]) for s in v.signs()) or "0", 3)
+
+        for n in range(7):
+            keys = [v.sort_key() for v in all_sign_vectors(n)]
+            assert keys == [expected(v) for v in all_sign_vectors(n)]
+            assert keys == list(range(3**n))
+        rng = Random(16)
+        for _ in range(5000):
+            v = SignVector.from_signs(rng.choice((-1, 0, 1)) for _ in range(rng.randint(7, 16)))
+            assert v.sort_key() == expected(v)
 
     def test_sign_of_vector(self):
         v = sign_of_vector([Fraction(2), Fraction(-1, 3), 0])
