@@ -28,9 +28,14 @@ EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 
 
-def _emit_json(payload: dict) -> None:
+def _json_text(payload: dict) -> str:
+    """The one JSON encoding of every output: schema tag, sorted keys, newline."""
     payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1))
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def _emit_json(payload: dict) -> None:
+    sys.stdout.write(_json_text(payload))
 
 
 def _read_pattern(path: str) -> SignPattern:
@@ -116,8 +121,7 @@ def _cmd_signs(args) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA, **payload}, fh, sort_keys=True, separators=(",", ": "), indent=1)
-            fh.write("\n")
+            fh.write(_json_text(payload))
     if args.json or not args.out:
         _emit_json(payload)
     return EXIT_OK
@@ -227,8 +231,7 @@ def _cmd_realize2(args) -> int:
     }
     if args.cert_out:
         with open(args.cert_out, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA, **cert_json}, fh, sort_keys=True, separators=(",", ": "), indent=1)
-            fh.write("\n")
+            fh.write(_json_text(cert_json))
     if args.json:
         _emit_json({"status": "ok", "matrix": _matrix_json(matrix), "certificate": cert_json})
     elif not args.out:

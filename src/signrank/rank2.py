@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError, InternalCheckError
+from .errors import BudgetExceededError, DimensionError, InternalCheckError
 from .rational import RationalMatrix, RationalSubspace, rank
 from .signs import (
     CondensationTrace,
@@ -161,27 +161,21 @@ def _walk_covectors(class_masks: tuple[int, ...], neg_mask: int) -> list[tuple[i
 
     Sectors i = 1..c have the first i classes positive and the rest
     negative; rays j = 1..c zero out class j. Sector 0 is skipped as the
-    negation of sector c.
+    negation of sector c. One pass moves each class in slope order from
+    the "after" union to the "before" one, reading its ray in between.
     """
-    c = len(class_masks)
-    plus = [m & ~neg_mask for m in class_masks]
-    minus = [m & neg_mask for m in class_masks]
-    pref_p = [0] * (c + 1)
-    pref_n = [0] * (c + 1)
-    for j in range(c):
-        pref_p[j + 1] = pref_p[j] | plus[j]
-        pref_n[j + 1] = pref_n[j] | minus[j]
-    suf_p = [0] * (c + 2)
-    suf_n = [0] * (c + 2)
-    for j in range(c, 0, -1):
-        suf_p[j] = suf_p[j + 1] | plus[j - 1]
-        suf_n[j] = suf_n[j + 1] | minus[j - 1]
-    out = []
-    for i in range(1, c + 1):
-        out.append((pref_p[i] | suf_n[i + 1], pref_n[i] | suf_p[i + 1]))
-    for j in range(1, c + 1):
-        out.append((pref_p[j - 1] | suf_n[j + 1], pref_n[j - 1] | suf_p[j + 1]))
-    return out
+    support = sum(class_masks)  # the classes are disjoint
+    after_p, after_n = support & ~neg_mask, support & neg_mask
+    before_p = before_n = 0
+    sectors, rays = [], []
+    for m in class_masks:
+        after_p &= ~m
+        after_n &= ~m
+        rays.append((before_p | after_n, before_n | after_p))
+        before_p |= m & ~neg_mask
+        before_n |= m & neg_mask
+        sectors.append((before_p | after_n, before_n | after_p))
+    return sectors + rays
 
 
 def _packed_sign_set(class_masks: tuple[int, ...], neg_mask: int) -> set[tuple[int, int]]:
@@ -244,8 +238,12 @@ def find_plane_type(
     every real 2-dimensional plane has some type's sign set. Raises
     BudgetExceededError once budget_ms has passed, checked before the first
     type and then every 1024 types, so budget_ms=0 stops any search that
-    has a type to test.
+    has a type to test. Raises DimensionError for a line whose length is
+    not n.
     """
+    for v in lines:
+        if v.n != n:
+            raise DimensionError(f"sign vector of length {v.n} against ambient length {n}")
     packed = [(v.pos, v.neg) for v in lines]
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     for counter, (zero_mask, class_masks, neg_mask) in enumerate(

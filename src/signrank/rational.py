@@ -2,12 +2,13 @@
 
 Everything is immutable and pure: operations return new objects and never
 round. Matrices are dense on purpose; dimensions in this package stay at
-desk scale (well under ~20 in each direction).
+desk scale (well under ~20 in each direction). strict_feasibility eliminates
+on primitive integer rows and back-substitutes its witness in rationals.
 """
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, ParseError, SingularBlockError
@@ -387,22 +388,11 @@ def schur_complement(matrix: RationalMatrix, block: int) -> RationalMatrix:
     return RationalMatrix(out, cols=q)
 
 
-def _normalize_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple, Fraction]:
-    """Scale an inequality a.y >= b by a positive rational to primitive integers."""
-    denoms = [e.denominator for e in coeffs] + [rhs.denominator]
-    mult = 1
-    for d in denoms:
-        mult = mult * d // gcd(mult, d)
-    ints = [int(e * mult) for e in coeffs]
-    r = rhs * mult
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    g = gcd(g, abs(r.numerator))
-    if g > 1:
-        ints = [v // g for v in ints]
-        r = r / g
-    return tuple(Fraction(v) for v in ints), r
+def _primitive_row(coeffs: Sequence[int], rhs: int) -> tuple[tuple[int, ...], int]:
+    """Divide an integer inequality a.y >= b by gcd(a, b); keeping b inside
+    the gcd makes the division exact, so no bound is rounded."""
+    g = gcd(*coeffs, rhs) or 1
+    return tuple(v // g for v in coeffs), rhs // g
 
 
 def strict_feasibility(
@@ -413,10 +403,11 @@ def strict_feasibility(
     Finds a rational x with a.x = 0 for every equality row and a.x >= 1 for
     every positive row, or returns None when no such x exists. ("> 0" and
     ">= 1" are interchangeable by homogeneous scaling.) Equalities are
-    eliminated by substitution through their null space; the remaining
-    inequality system is decided by Fourier-Motzkin elimination and a witness
-    is rebuilt by back-substitution, picking the midpoint of each bounded
-    interval.
+    eliminated by substitution through their null space, and each reduced
+    row is scaled once to primitive integers. Fourier-Motzkin elimination
+    then runs on integer rows only, each combined row divided by its gcd;
+    the witness is rebuilt by rational back-substitution, picking the
+    midpoint of each bounded interval.
     """
     eq = [tuple(Fraction(e) for e in row) for row in equalities]
     pos = [tuple(Fraction(e) for e in row) for row in positives]
@@ -427,24 +418,24 @@ def strict_feasibility(
     if not pos:
         return tuple(Fraction(0) for _ in range(dim))
 
-    null_cols = _nullspace_columns(eq, dim) if eq else [
-        tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)
-    ]
+    null_cols = _nullspace_columns(eq, dim)
     free = len(null_cols)
     reduced = []
-    one = Fraction(1)
     for row in pos:
         coeffs = tuple(
             sum((row[i] * col[i] for i in range(dim)), Fraction(0)) for col in null_cols
         )
         if not any(coeffs):
             return None  # the row is forced to 0 on the feasible set
-        reduced.append(_normalize_row(coeffs, one))
+        mult = lcm(*(e.denominator for e in coeffs))
+        reduced.append(
+            _primitive_row([e.numerator * (mult // e.denominator) for e in coeffs], mult)
+        )
 
     stages = [reduced]
     system = reduced
     for var in range(free):
-        zero_rows: dict[tuple, Fraction] = {}
+        merged: dict[tuple[int, ...], int] = {}
         lowers = []
         uppers = []
         for coeffs, rhs in system:
@@ -453,25 +444,23 @@ def strict_feasibility(
                 lowers.append((coeffs, rhs))
             elif c < 0:
                 uppers.append((coeffs, rhs))
-            else:
-                key = coeffs
-                if key not in zero_rows or rhs > zero_rows[key]:
-                    zero_rows[key] = rhs
-        merged: dict[tuple, Fraction] = dict(zero_rows)
+            elif coeffs not in merged or rhs > merged[coeffs]:
+                merged[coeffs] = rhs
         for lc, lr in lowers:
             for uc, ur in uppers:
                 scale_l = -uc[var]
                 scale_u = lc[var]
-                coeffs = tuple(scale_l * a + scale_u * b for a, b in zip(lc, uc))
-                rhs = scale_l * lr + scale_u * ur
-                coeffs, rhs = _normalize_row(coeffs, rhs)
+                coeffs, rhs = _primitive_row(
+                    [scale_l * a + scale_u * b for a, b in zip(lc, uc)],
+                    scale_l * lr + scale_u * ur,
+                )
                 if not any(coeffs):
                     if rhs > 0:
                         return None
                     continue
                 if coeffs not in merged or rhs > merged[coeffs]:
                     merged[coeffs] = rhs
-        system = [(c, r) for c, r in merged.items()]
+        system = list(merged.items())
         stages.append(system)
 
     for coeffs, rhs in stages[-1]:

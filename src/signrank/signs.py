@@ -371,15 +371,19 @@ def set_perp(vectors, n: int | None = None) -> SignVectorSet:
     """All sign vectors orthogonal to every member of the given set.
 
     Accepts a SignVectorSet (preferred) or any iterable of SignVector plus
-    the ambient length n.
+    the ambient length n; every member must have length n.
     """
     if isinstance(vectors, SignVectorSet):
         n = vectors.n
-    elif n is None:
+    else:
         vectors = list(vectors)
-        if not vectors:
-            raise DimensionError("ambient length needed for an empty vector collection")
-        n = vectors[0].n
+        if n is None:
+            if not vectors:
+                raise DimensionError("ambient length needed for an empty vector collection")
+            n = vectors[0].n
+        for v in vectors:
+            if v.n != n:
+                raise DimensionError(f"sign vector of length {v.n} against ambient length {n}")
     xs = _dedup_mask_pairs(vectors)
     out = []
     for cp, cn in _all_mask_pairs(n):

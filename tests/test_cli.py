@@ -79,6 +79,13 @@ class TestSigns:
         assert code == EXIT_OK
         assert json.loads(out_path.read_text())["count"] == 3
 
+    def test_out_file_equals_json_stdout(self, capsys, write, tmp_path):
+        path = write("basis.mat", "1 0\n1 1\n1 2\n")
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, ["signs", path, "--json", "--out", str(out_path)])
+        assert code == EXIT_OK
+        assert out_path.read_text() == out
+
 
 def _parse(token):
     from signrank.rational import parse_rational
@@ -158,6 +165,20 @@ class TestRealize2:
         assert sign_of(matrix) == SignPattern.from_strings(["+++", "0++"])
         cert = json.loads(cert_path.read_text())
         assert cert["schema"] == 1 and "signature" in cert
+
+    def test_cert_out_file_is_the_json_certificate(self, capsys, write, tmp_path):
+        # both go through one encoder: same schema tag, key order, indent
+        # and trailing newline as the --json stdout
+        path = write("p.sp", "+++\n0++\n")
+        cert_path = tmp_path / "cert.json"
+        code, out, _ = run(capsys, ["realize2", path, "--json", "--cert-out", str(cert_path)])
+        assert code == EXIT_OK
+
+        def encode(payload):
+            return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+        assert out == encode(json.loads(out))
+        assert cert_path.read_text() == encode({"schema": 1, **json.loads(out)["certificate"]})
 
     def test_no_certificate_inconclusive_exit(self, capsys, write):
         path = write("id.sp", "+00\n0+0\n00+\n")

@@ -1,6 +1,8 @@
-"""Module boundaries: package modules import only each other's public names."""
+"""Module boundaries: package modules import only each other's public names,
+and every name the benchmark wraps is still bound where it wraps it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import signrank
@@ -39,3 +41,16 @@ def test_no_module_imports_a_private_sibling_name():
         if (names := private_sibling_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def test_every_binding_the_benchmark_wraps_exists(monkeypatch):
+    # bench/run.py --trace wraps these names where the calling module binds
+    # them; a binding that a simplification drops must fail here first
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    missing = [
+        f"{module.__name__}.{attr}"
+        for module, attr, _, _ in workloads.trace_points()
+        if not hasattr(module, attr)
+    ]
+    assert missing == []

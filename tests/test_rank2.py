@@ -5,8 +5,9 @@ from random import Random
 
 import pytest
 
+from signrank import rank2
 from signrank.covectors import sign_vectors
-from signrank.errors import BudgetExceededError
+from signrank.errors import BudgetExceededError, DimensionError
 from signrank.rank2 import (
     enumerate_rank2_types,
     find_plane_type,
@@ -289,7 +290,45 @@ class TestTypeSignSets:
             assert direct == [sign_set_of_type(t) for t, _ in enumerate_rank2_types(n)]
 
 
+def reference_walk_covectors(class_masks, neg_mask):
+    """The prefix/suffix-array walk that the one-pass walk replaced."""
+    c = len(class_masks)
+    plus = [m & ~neg_mask for m in class_masks]
+    minus = [m & neg_mask for m in class_masks]
+    pref_p = [0] * (c + 1)
+    pref_n = [0] * (c + 1)
+    for j in range(c):
+        pref_p[j + 1] = pref_p[j] | plus[j]
+        pref_n[j + 1] = pref_n[j] | minus[j]
+    suf_p = [0] * (c + 2)
+    suf_n = [0] * (c + 2)
+    for j in range(c, 0, -1):
+        suf_p[j] = suf_p[j + 1] | plus[j - 1]
+        suf_n[j] = suf_n[j + 1] | minus[j - 1]
+    out = []
+    for i in range(1, c + 1):
+        out.append((pref_p[i] | suf_n[i + 1], pref_n[i] | suf_p[i + 1]))
+    for j in range(1, c + 1):
+        out.append((pref_p[j - 1] | suf_n[j + 1], pref_n[j - 1] | suf_p[j + 1]))
+    return out
+
+
+class TestWalkCovectors:
+    def test_one_pass_walk_equals_the_reference_on_every_type(self):
+        for n in range(1, 7):
+            for _, class_masks, neg_mask in rank2._iter_raw_types(n):
+                assert rank2._walk_covectors(class_masks, neg_mask) == reference_walk_covectors(
+                    class_masks, neg_mask
+                )
+
+
 class TestFindPlaneType:
+    def test_wrong_length_line_rejected(self):
+        with pytest.raises(DimensionError):
+            find_plane_type([SignVector.from_string("+-+-+")], 3)
+        with pytest.raises(DimensionError):
+            find_plane_type([SignVector.from_string("+-+"), SignVector.from_string("+-")], 3)
+
     def test_first_hit_matches_the_definition(self):
         # the definition, through public types: the first plane type in
         # enumeration order whose whole sign set is orthogonal to every line

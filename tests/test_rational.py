@@ -1,13 +1,15 @@
 """Exact linear algebra kernel."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from math import gcd
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signrank import covectors
 from signrank.errors import DimensionError, ParseError, SingularBlockError
 from signrank.rational import (
     RationalMatrix,
@@ -22,6 +24,7 @@ from signrank.rational import (
     schur_complement,
     strict_feasibility,
 )
+from signrank.signs import SignVector, sign_of_vector
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -368,6 +371,202 @@ class TestStrictFeasibilityPlanted:
             assert x is not None
             assert all(sum(a * v for a, v in zip(r, x)) == 0 for r in equalities)
             assert all(sum(a * v for a, v in zip(r, x)) >= 1 for r in positives)
+
+
+# ------------------------------------------------ the Fraction reference
+
+def _reference_normalize_row(coeffs, rhs):
+    """Scale an inequality a.y >= b by a positive rational to primitive integers."""
+    denoms = [e.denominator for e in coeffs] + [rhs.denominator]
+    mult = 1
+    for d in denoms:
+        mult = mult * d // gcd(mult, d)
+    ints = [int(e * mult) for e in coeffs]
+    r = rhs * mult
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    g = gcd(g, abs(r.numerator))
+    if g > 1:
+        ints = [v // g for v in ints]
+        r = r / g
+    return tuple(Fraction(v) for v in ints), r
+
+
+def reference_strict_feasibility(equalities, positives):
+    """The Fourier-Motzkin elimination on Fraction rows that strict_feasibility
+    replaced; it must give the same None or the same witness."""
+    eq = [tuple(Fraction(e) for e in row) for row in equalities]
+    pos = [tuple(Fraction(e) for e in row) for row in positives]
+    lengths = {len(r) for r in chain(eq, pos)}
+    if len(lengths) > 1:
+        raise DimensionError("constraint rows have unequal lengths")
+    dim = lengths.pop() if lengths else 0
+    if not pos:
+        return tuple(Fraction(0) for _ in range(dim))
+
+    if eq:
+        null_cols = [tuple(c) for c in nullspace_basis(RationalMatrix(eq, cols=dim)).basis.columns()]
+    else:
+        null_cols = [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
+    free = len(null_cols)
+    reduced = []
+    one = Fraction(1)
+    for row in pos:
+        coeffs = tuple(
+            sum((row[i] * col[i] for i in range(dim)), Fraction(0)) for col in null_cols
+        )
+        if not any(coeffs):
+            return None
+        reduced.append(_reference_normalize_row(coeffs, one))
+
+    stages = [reduced]
+    system = reduced
+    for var in range(free):
+        zero_rows = {}
+        lowers = []
+        uppers = []
+        for coeffs, rhs in system:
+            c = coeffs[var]
+            if c > 0:
+                lowers.append((coeffs, rhs))
+            elif c < 0:
+                uppers.append((coeffs, rhs))
+            else:
+                key = coeffs
+                if key not in zero_rows or rhs > zero_rows[key]:
+                    zero_rows[key] = rhs
+        merged = dict(zero_rows)
+        for lc, lr in lowers:
+            for uc, ur in uppers:
+                scale_l = -uc[var]
+                scale_u = lc[var]
+                coeffs = tuple(scale_l * a + scale_u * b for a, b in zip(lc, uc))
+                rhs = scale_l * lr + scale_u * ur
+                coeffs, rhs = _reference_normalize_row(coeffs, rhs)
+                if not any(coeffs):
+                    if rhs > 0:
+                        return None
+                    continue
+                if coeffs not in merged or rhs > merged[coeffs]:
+                    merged[coeffs] = rhs
+        system = [(c, r) for c, r in merged.items()]
+        stages.append(system)
+
+    for coeffs, rhs in stages[-1]:
+        if rhs > 0:
+            return None
+
+    y = [Fraction(0)] * free
+    for var in range(free - 1, -1, -1):
+        lo = None
+        hi = None
+        for coeffs, rhs in stages[var]:
+            c = coeffs[var]
+            if c == 0:
+                continue
+            rest = sum((coeffs[j] * y[j] for j in range(var + 1, free)), Fraction(0))
+            bound = (rhs - rest) / c
+            if c > 0:
+                lo = bound if lo is None or bound > lo else lo
+            else:
+                hi = bound if hi is None or bound < hi else hi
+        if lo is not None and hi is not None:
+            y[var] = (lo + hi) / 2
+        elif lo is not None:
+            y[var] = lo + 1
+        elif hi is not None:
+            y[var] = hi - 1
+
+    x = [Fraction(0)] * dim
+    for j, col in enumerate(null_cols):
+        if y[j]:
+            for i in range(dim):
+                x[i] += y[j] * col[i]
+    return tuple(x)
+
+
+def assert_same_as_reference(equalities, positives):
+    got = strict_feasibility(equalities, positives)
+    assert got == reference_strict_feasibility(equalities, positives)
+    assert got is None or all(type(v) is Fraction for v in got)
+    return got
+
+
+# Fourier-Motzkin on 8 rows in R^6 can grow doubly exponentially, and a
+# single such draw can take the Fraction reference close to a minute. This
+# seed keeps the whole check to a few seconds.
+CROSS_CHECK_SEED = 2024
+
+
+class TestStrictFeasibilityAgainstReference:
+    def test_seeded_systems(self):
+        rng = Random(CROSS_CHECK_SEED)
+        feasible = infeasible = 0
+        for _ in range(500):
+            dim = rng.randint(1, 6)
+
+            def rows(count):
+                return [
+                    tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
+                    for _ in range(count)
+                ]
+
+            equalities = rows(rng.randint(0, 3))
+            positives = rows(rng.randint(1, 8))
+            if assert_same_as_reference(equalities, positives) is None:
+                infeasible += 1
+            else:
+                feasible += 1
+        assert feasible >= 100 and infeasible >= 100
+
+    def test_parallel_rows_keep_the_tighter_bound(self):
+        # positive multiples of a row share its primitive coefficients but
+        # not its bound, which exercises the deduplication of every stage
+        rng = Random(CROSS_CHECK_SEED + 1)
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            positives = [
+                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+                for _ in range(rng.randint(1, 4))
+            ]
+            for row in list(positives):
+                scale = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+                positives.append(tuple(scale * e for e in row))
+            rng.shuffle(positives)
+            assert_same_as_reference([], positives)
+
+    def test_member_witness_systems_in_r8(self, monkeypatch):
+        systems = []
+
+        def recording(equalities, positives):
+            systems.append((list(equalities), list(positives)))
+            return strict_feasibility(equalities, positives)
+
+        monkeypatch.setattr(covectors, "strict_feasibility", recording)
+        rng = Random(8)
+        n = 8
+        hits = 0
+        for k in (3, 4, 5):
+            for _ in range(2):
+                basis = RationalMatrix.from_columns(
+                    [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+                )
+                if rank(basis) < k:
+                    continue
+                space = RationalSubspace(n, basis)
+                for planted in (True, False) * 6:
+                    if planted:
+                        x = [0] * k
+                        while not any(x):
+                            x = [rng.randint(-3, 3) for _ in range(k)]
+                        target = sign_of_vector(basis.apply(x))
+                    else:
+                        target = SignVector.from_signs(rng.choice((1, 0, -1)) for _ in range(n))
+                    hits += covectors.member_witness(space, target) is not None
+        assert len(systems) >= 60 and 0 < hits < len(systems)
+        for equalities, positives in systems:
+            assert_same_as_reference(equalities, positives)
 
 
 class TestSubspace:

@@ -189,6 +189,17 @@ class TestSetPerp:
         with pytest.raises(DimensionError):
             set_perp([])
 
+    def test_member_longer_than_n_rejected(self):
+        with pytest.raises(DimensionError):
+            set_perp([SignVector.from_string("+-+-+")], n=3)
+
+    def test_mixed_lengths_rejected(self):
+        mixed = [SignVector.from_string("+"), SignVector.from_string("++-")]
+        with pytest.raises(DimensionError):
+            set_perp(mixed, n=3)
+        with pytest.raises(DimensionError):
+            set_perp(mixed)
+
 
 class TestCondense:
     def test_duplicate_row_then_column(self):
