@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable input or output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SignRankError as exc:

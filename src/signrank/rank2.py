@@ -15,12 +15,19 @@ Three related pieces live here:
   +prefix/-suffix; expanding classes through their member orientations
   and closing under negation gives the full 4c+1 vectors.
 
-The type space is walked in one canonical order by every consumer:
-enumerate_rank2_types pairs each type with its representative,
-type_sign_sets yields the sign sets alone, and find_plane_type is the
-one search for a plane whose sign set is orthogonal to a list of sign
-vectors. That search decides mr <= n-2 in minrank and supplies the plane
-of the rank n-2 realization in realize; its first hit is the certificate.
+The type space is walked in one canonical order by every consumer. One
+generator yields its structures (zero mask, ordered partition of the
+support into classes), with the partitions generated directly as
+surjective class assignments; each structure carries 2^(s-1)
+orientations of its support of size s. enumerate_rank2_types pairs each
+type with its representative, type_sign_sets yields the sign sets alone,
+and find_plane_type is the one search for a plane whose sign set is
+orthogonal to a list of sign vectors. That search decides mr <= n-2 in
+minrank and supplies the plane of the rank n-2 realization in realize;
+its first hit is the certificate. It is bitsliced: one Python int holds
+a bit per orientation of a structure, so all orientations are decided
+together, and each is tested against the c rays of the type only (its
+cocircuits), which is equivalent to testing its whole sign set.
 
 Orientation canon: only the lowest-indexed nonzero coordinate is pinned
 to +, which quotients exactly the global-negation symmetry (a basis and
@@ -31,6 +38,7 @@ lose sign sets once three or more classes exist.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -123,37 +131,88 @@ def _raw_to_type(n: int, zero_mask: int, class_masks: tuple[int, ...], neg_mask:
     return Rank2Type(n, zero_set, classes, orientations)
 
 
-def _iter_raw_types(n: int, min_classes: int = 0) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """All (zero_mask, class_masks, neg_mask) triples, deterministically.
+def _ordered_partitions(bits: Sequence[int], c: int) -> Iterator[tuple[int, ...]]:
+    """Class masks of every ordered partition of the coordinates in bits
+    into c nonempty classes.
+
+    Position p of bits goes to class a[p]; the assignments a are exactly
+    the surjections onto range(c), generated in lexicographic order by a
+    depth-first walk that only offers an already used class while enough
+    positions remain to fill every empty one.
+    """
+    s = len(bits)
+    masks = [0] * c
+    counts = [0] * c
+    assignment = [-1] * s
+    missing = c  # classes still empty
+    p = 0
+    while p >= 0:
+        v = assignment[p]
+        if v >= 0:
+            masks[v] ^= bits[p]
+            counts[v] -= 1
+            if not counts[v]:
+                missing += 1
+        v += 1
+        if missing > s - 1 - p:  # every later position must open a class
+            while v < c and counts[v]:
+                v += 1
+        if v == c:
+            assignment[p] = -1
+            p -= 1
+            continue
+        assignment[p] = v
+        masks[v] |= bits[p]
+        if not counts[v]:
+            missing -= 1
+        counts[v] += 1
+        if p == s - 1:
+            yield tuple(masks)
+        else:
+            p += 1
+
+
+def _iter_structures(n: int, min_classes: int = 0) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """All (zero_mask, support, class_masks) triples, deterministically.
 
     Order: class count ascending, then zero mask ascending, then the
-    ordered partition as a lexicographic class assignment, then the
-    orientation mask ascending. The lowest nonzero index always carries
-    orientation +.
+    ordered partition of the support as a lexicographic class assignment.
+    support lists the coordinates outside the zero mask, ascending.
     """
     full = (1 << n) - 1
     if min_classes == 0:
-        yield (full, (), 0)
+        yield (full, (), ())
     for c in range(max(1, min_classes), n + 1):
         for zero_mask in range(full + 1):
-            support = [i for i in range(n) if not zero_mask >> i & 1]
+            support = tuple(i for i in range(n) if not zero_mask >> i & 1)
             if len(support) < c:
                 continue
-            flip_positions = support[1:]
-            flip_count = 1 << len(flip_positions)
-            for assignment in product(range(c), repeat=len(support)):
-                if len(set(assignment)) != c:
-                    continue
-                masks = [0] * c
-                for idx, cls in zip(support, assignment):
-                    masks[cls] |= 1 << idx
-                class_masks = tuple(masks)
-                for combo in range(flip_count):
-                    neg_mask = 0
-                    for b in range(len(flip_positions)):
-                        if combo >> b & 1:
-                            neg_mask |= 1 << flip_positions[b]
-                    yield (zero_mask, class_masks, neg_mask)
+            for class_masks in _ordered_partitions([1 << i for i in support], c):
+                yield (zero_mask, support, class_masks)
+
+
+def _orientation_masks(support: tuple[int, ...]) -> list[int]:
+    """neg_mask of every orientation of the support, indexed by its combo:
+    bit b of the combo negates support[b + 1]; support[0] stays +."""
+    masks = [0]
+    for i in support[1:]:
+        masks += [m | 1 << i for m in masks]
+    return masks
+
+
+def _iter_raw_types(n: int, min_classes: int = 0) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """All (zero_mask, class_masks, neg_mask) triples, deterministically.
+
+    Each structure of _iter_structures in turn, expanded over its
+    orientation masks in ascending combo order. The lowest nonzero index
+    always carries orientation +.
+    """
+    last_support, neg_masks = None, [0]
+    for zero_mask, support, class_masks in _iter_structures(n, min_classes):
+        if support != last_support:
+            last_support, neg_masks = support, _orientation_masks(support)
+        for neg_mask in neg_masks:
+            yield (zero_mask, class_masks, neg_mask)
 
 
 def _walk_covectors(class_masks: tuple[int, ...], neg_mask: int) -> list[tuple[int, int]]:
@@ -218,12 +277,53 @@ def type_sign_sets(n: int, min_classes: int = 0) -> Iterator[set[tuple[int, int]
         yield _packed_sign_set(class_masks, neg_mask)
 
 
-def _type_admits(lines: list[tuple[int, int]], covectors: list[tuple[int, int]]) -> bool:
-    for wp, wq in covectors:
-        for sp, sq in lines:
-            if bool((sp & wp) | (sq & wq)) != bool((sp & wq) | (sq & wp)):
-                return False
-    return True
+@lru_cache(maxsize=32)
+def _orientation_slices(s: int) -> tuple[int, tuple[int, ...]]:
+    """Bitsets over the 2^(s-1) orientation combos of a support of size s.
+
+    Returns (every combo, plus) where plus[p] holds the combos that keep
+    support position p positive: all of them for p = 0, which is pinned,
+    and those with bit p-1 clear otherwise.
+    """
+    width = 1 << (s - 1)
+    every = (1 << width) - 1
+    plus = [every]
+    for b in range(s - 1):
+        half = 1 << b
+        period = (1 << 2 * half) - 1  # a block of 2^(b+1) combos
+        flipped = ((1 << half) - 1) << half  # its upper half has bit b set
+        plus.append(every ^ flipped * (every // period))
+    return every, tuple(plus)
+
+
+def _fold_lines(
+    support: tuple[int, ...], packed: list[tuple[int, int]]
+) -> tuple[int, list[tuple[int, dict[int, tuple[int, int]]]]]:
+    """The lines as every structure on this support sees them.
+
+    Returns the set of all orientation combos and, per line, its reach
+    (its support inside the support) and a map from each reached
+    coordinate bit to the pair (combos where the oriented line is + there,
+    combos where it is -). Lines that reach nothing are orthogonal to every
+    covector and are dropped; a line and its negation admit the same
+    combos, so only the first of the two is kept.
+    """
+    every, plus = _orientation_slices(len(support))
+    inside = sum(1 << i for i in support)
+    folded = {}
+    for pos, neg in packed:
+        lp, lq = pos & inside, neg & inside
+        key = min((lp, lq), (lq, lp))
+        if not lp | lq or key in folded:
+            continue
+        oriented = {}
+        for i, kept in zip(support, plus):
+            if lp >> i & 1:
+                oriented[1 << i] = (kept, every ^ kept)
+            elif lq >> i & 1:
+                oriented[1 << i] = (every ^ kept, kept)
+        folded[key] = (lp | lq, oriented)
+    return every, list(folded.values())
 
 
 def find_plane_type(
@@ -235,23 +335,80 @@ def find_plane_type(
 
     A hit puts every line inside sign(M^perp) for the type's plane M, a
     subspace of dimension n-2; no hit is a definitive negative because
-    every real 2-dimensional plane has some type's sign set. Raises
-    BudgetExceededError once budget_ms has passed, checked before the first
-    type and then every 1024 types, so budget_ms=0 stops any search that
-    has a type to test. Raises DimensionError for a line whose length is
-    not n.
+    every real 2-dimensional plane has some type's sign set.
+
+    The search decides one ordered partition at a time, for all 2^(s-1)
+    orientations of its support of size s together: each orientation
+    combo is one bit of a Python int. A line is orthogonal to every
+    covector of a type exactly when it is orthogonal to every cocircuit
+    (Bjoerner, Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids,
+    1993, 3.7), and the cocircuits of a type are its c rays: ray j zeroes
+    class j and is + on the earlier classes, - on the later ones, times
+    the orientation. With P_i (N_i) the combos where the oriented line is
+    + (-) somewhere on class i, the combos that ray j admits are
+    (OR_{i<j} P_i | OR_{i>j} N_i) & (OR_{i<j} N_i | OR_{i>j} P_i); a line
+    whose support lies inside class j is orthogonal to ray j under every
+    orientation and skips it. The lowest bit of the AND over all lines and
+    rays is the first orientation of the canonical order, so the first hit
+    is the type-by-type walk's.
+
+    Raises BudgetExceededError once budget_ms has passed, read before the
+    first partition and then whenever 1024 or more types have been
+    decided since the last read, so budget_ms=0 stops any search that has
+    a type to test. Raises DimensionError for a line whose length is not
+    n.
     """
     for v in lines:
         if v.n != n:
             raise DimensionError(f"sign vector of length {v.n} against ambient length {n}")
     packed = [(v.pos, v.neg) for v in lines]
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    for counter, (zero_mask, class_masks, neg_mask) in enumerate(
-        _iter_raw_types(n, min_classes=2)
-    ):
-        if deadline is not None and counter % 1024 == 0 and time.monotonic() >= deadline:
-            raise BudgetExceededError("type search ran out of budget")
-        if _type_admits(packed, _walk_covectors(class_masks, neg_mask)):
+    unread = 1024  # types decided since the clock was last read
+    current = None
+    for zero_mask, support, class_masks in _iter_structures(n, min_classes=2):
+        if deadline is not None and unread >= 1024:
+            if time.monotonic() >= deadline:
+                raise BudgetExceededError("type search ran out of budget")
+            unread = 0
+        unread += 1 << (len(support) - 1)
+        if zero_mask != current:
+            current = zero_mask
+            every, folded = _fold_lines(support, packed)
+        admitted = every
+        c = len(class_masks)
+        for reach, oriented in folded:
+            pos, neg = [], []
+            for m in class_masks:
+                p = q = 0
+                rest = reach & m
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    plus, minus = oriented[bit]
+                    p |= plus
+                    q |= minus
+                pos.append(p)
+                neg.append(q)
+            after = [None] * c
+            after_p = after_n = 0
+            for j in range(c - 1, -1, -1):
+                after[j] = (after_p, after_n)
+                after_p |= pos[j]
+                after_n |= neg[j]
+            before_p = before_n = 0
+            for j, m in enumerate(class_masks):
+                if reach & ~m:  # else the line lies in class j, orthogonal to ray j
+                    after_p, after_n = after[j]
+                    admitted &= (before_p | after_n) & (before_n | after_p)
+                    if not admitted:
+                        break
+                before_p |= pos[j]
+                before_n |= neg[j]
+            if not admitted:
+                break
+        if admitted:
+            combo = (admitted & -admitted).bit_length() - 1
+            neg_mask = _orientation_masks(support)[combo]
             return _raw_to_type(n, zero_mask, class_masks, neg_mask)
     return None
 

@@ -12,6 +12,7 @@ the same instances.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from random import Random
 from typing import Callable, Optional
@@ -137,16 +138,20 @@ def check_perp_formula() -> tuple[bool, str]:
     return True, f"formula matched for all {checked} sign vectors with n <= 6"
 
 
+@lru_cache(maxsize=8)
+def _plane_sign_sets(n: int) -> tuple[frozenset[tuple[int, int]], ...]:
+    """The distinct sign sets of the 2-dimensional types of R^n, in order of
+    first appearance."""
+    return tuple(dict.fromkeys(frozenset(s) for s in type_sign_sets(n, min_classes=2)))
+
+
 def _rank2_oracle(pattern: SignPattern) -> bool:
     """Some 2-dimensional type's sign set contains every condensed row."""
     cond = condense(pattern)
     if cond.rows == 0 or cond.cols == 0:
         return False
     rows = [(r.pos, r.neg) for r in cond.row_vectors]
-    return any(
-        all(r in sign_set for r in rows)
-        for sign_set in type_sign_sets(cond.cols, min_classes=2)
-    )
+    return any(all(r in sign_set for r in rows) for sign_set in _plane_sign_sets(cond.cols))
 
 
 def check_rank2_characterization() -> tuple[bool, str]:

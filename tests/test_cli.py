@@ -50,6 +50,18 @@ class TestMr:
         code, _, err = run(capsys, ["mr", "/nonexistent/file.sp"])
         assert code == EXIT_USAGE
 
+    def test_directory_is_an_error_not_a_traceback(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["mr", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
+
+    def test_non_utf8_file_is_an_error_not_a_traceback(self, capsys, tmp_path):
+        path = tmp_path / "binary.sp"
+        path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 184)))
+        code, out, err = run(capsys, ["mr", str(path)])
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
+
 
 class TestSigns:
     def test_counts_and_witnesses(self, capsys, write):

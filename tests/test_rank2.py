@@ -1,13 +1,15 @@
 """Rank-2 certificates, realizations, and type enumeration."""
 
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from signrank import rank2
+from signrank import minrank, rank2, realize
 from signrank.covectors import sign_vectors
 from signrank.errors import BudgetExceededError, DimensionError
+from signrank.minrank import min_rank
 from signrank.rank2 import (
     enumerate_rank2_types,
     find_plane_type,
@@ -17,7 +19,18 @@ from signrank.rank2 import (
     type_sign_sets,
 )
 from signrank.rational import RationalMatrix, RationalSubspace, rank
-from signrank.signs import SignPattern, SignVector, SignVectorSet, condense, orthogonal, sign_of
+from signrank.realize import rationalize_equation, realize_corank2
+from signrank.signs import (
+    SignPattern,
+    SignVector,
+    SignVectorSet,
+    all_sign_vectors,
+    condense,
+    orthogonal,
+    sign_of,
+)
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 
 def t1t2(n):
@@ -313,6 +326,87 @@ def reference_walk_covectors(class_masks, neg_mask):
     return out
 
 
+def reference_iter_raw_types(n, min_classes=0):
+    """The generator the direct partitions replaced: every class assignment
+    of product(range(c), repeat=s), filtered to the surjective ones, then
+    each orientation mask built bit by bit."""
+    full = (1 << n) - 1
+    if min_classes == 0:
+        yield (full, (), 0)
+    for c in range(max(1, min_classes), n + 1):
+        for zero_mask in range(full + 1):
+            support = [i for i in range(n) if not zero_mask >> i & 1]
+            if len(support) < c:
+                continue
+            flip_positions = support[1:]
+            for assignment in product(range(c), repeat=len(support)):
+                if len(set(assignment)) != c:
+                    continue
+                masks = [0] * c
+                for idx, cls in zip(support, assignment):
+                    masks[cls] |= 1 << idx
+                for combo in range(1 << len(flip_positions)):
+                    neg_mask = 0
+                    for b, i in enumerate(flip_positions):
+                        if combo >> b & 1:
+                            neg_mask |= 1 << i
+                    yield (zero_mask, tuple(masks), neg_mask)
+
+
+def reference_type_admits(lines, covectors):
+    for wp, wq in covectors:
+        for sp, sq in lines:
+            if bool((sp & wp) | (sq & wq)) != bool((sp & wq) | (sq & wp)):
+                return False
+    return True
+
+
+def reference_find_plane_type(lines, n):
+    """The type-by-type walk the bitsliced search replaced: every raw type
+    in the product-filter order, each line against all 2c covectors."""
+    packed = [(v.pos, v.neg) for v in lines]
+    for zero_mask, class_masks, neg_mask in reference_iter_raw_types(n, min_classes=2):
+        if reference_type_admits(packed, reference_walk_covectors(class_masks, neg_mask)):
+            return rank2._raw_to_type(n, zero_mask, class_masks, neg_mask)
+    return None
+
+
+class TestStructures:
+    def test_ordered_partitions_equal_the_product_filter(self):
+        for s in range(1, 7):
+            support = (0, 2, 3, 5, 6, 9)[:s]
+            bits = [1 << i for i in support]
+            for c in range(1, s + 1):
+                expected = []
+                for assignment in product(range(c), repeat=s):
+                    if len(set(assignment)) == c:
+                        masks = [0] * c
+                        for bit, cls in zip(bits, assignment):
+                            masks[cls] |= bit
+                        expected.append(tuple(masks))
+                assert list(rank2._ordered_partitions(bits, c)) == expected
+
+    def test_raw_types_equal_the_product_filter(self):
+        for n in range(6):
+            for min_classes in (0, 2):
+                assert list(rank2._iter_raw_types(n, min_classes)) == list(
+                    reference_iter_raw_types(n, min_classes)
+                )
+
+    def test_rays_decide_orthogonality_to_the_whole_sign_set(self):
+        # a sign vector is orthogonal to every covector of a type exactly
+        # when it is orthogonal to the type's c rays, its cocircuits
+        for n in range(2, 5):
+            candidates = [(v.pos, v.neg) for v in all_sign_vectors(n)]
+            for _, class_masks, neg_mask in rank2._iter_raw_types(n, min_classes=2):
+                covectors = rank2._walk_covectors(class_masks, neg_mask)
+                rays = covectors[len(class_masks):]
+                for line in candidates:
+                    assert reference_type_admits([line], rays) == reference_type_admits(
+                        [line], covectors
+                    )
+
+
 class TestWalkCovectors:
     def test_one_pass_walk_equals_the_reference_on_every_type(self):
         for n in range(1, 7):
@@ -351,3 +445,75 @@ class TestFindPlaneType:
             assert find_plane_type(lines, n) == expected
             hits += expected is not None
         assert 0 < hits < 40
+
+    def test_equals_the_reference_walk_on_seeded_line_sets(self):
+        # 70 line sets for each n = 2..5 and 20 for n = 6, where one
+        # exhausted search costs the reference walk about 2 s
+        rng = Random(1)
+        outcomes = {}
+        for i in range(300):
+            n = 2 + i % 4 if i < 280 else 6
+            lines = [
+                SignVector.from_signs([rng.choice((-1, 0, 1)) for _ in range(n)])
+                for _ in range(rng.randint(0, 7))
+            ]
+            expected = reference_find_plane_type(lines, n)
+            assert find_plane_type(lines, n) == expected
+            key = (n, expected is None)
+            outcomes[key] = outcomes.get(key, 0) + 1
+        for n in range(2, 7):
+            assert outcomes.get((n, False), 0) > 0
+        assert sum(count for (_, exhausted), count in outcomes.items() if exhausted) >= 50
+
+    def test_equals_the_reference_walk_on_the_benchmark_searches(self, monkeypatch):
+        # every search that min_rank, realize_corank2 and rationalize_equation
+        # run on the benchmark's minrank and witness corpora
+        searches = []
+
+        def recording(lines, n, budget_ms=None):
+            lines = list(lines)
+            found = find_plane_type(lines, n, budget_ms)
+            searches.append((lines, n, found))
+            return found
+
+        monkeypatch.setattr(minrank, "find_plane_type", recording)
+        monkeypatch.setattr(realize, "find_plane_type", recording)
+
+        def read(path):
+            return SignPattern.parse(path.read_text(encoding="utf-8"))
+
+        for path in sorted((CORPUS / "minrank").glob("*.sp")):
+            min_rank(read(path))
+        for path in sorted((CORPUS / "witness").glob("real-*.sp")):
+            realize_corank2(read(path))
+        for path in sorted((CORPUS / "witness").glob("eq*-B.sp")):
+            rationalize_equation(
+                *(read(path.with_name(path.name.replace("-B", f"-{part}"))) for part in "BCE")
+            )
+        assert len(searches) == 24
+        for lines, n, found in searches:
+            assert found == reference_find_plane_type(lines, n)
+        assert 0 < sum(found is None for _, _, found in searches) < len(searches)
+
+    def test_zero_budget_raises_for_every_width(self):
+        for n in range(2, 8):
+            identity = [SignVector.from_signs([int(i == j) for j in range(n)]) for i in range(n)]
+            with pytest.raises(BudgetExceededError):
+                find_plane_type(identity, n, budget_ms=0)
+
+    def test_clock_is_read_once_per_1024_types(self, monkeypatch):
+        # the identity lines exhaust all 12,120 types of n = 5; the clock is
+        # read for the deadline, before the first partition, and then once
+        # 1024 or more types have been decided, at most 16 per partition
+        class Clock:
+            reads = 0
+
+            @classmethod
+            def monotonic(cls):
+                cls.reads += 1
+                return 0.0
+
+        monkeypatch.setattr(rank2, "time", Clock)
+        identity = [SignVector.from_signs([int(i == j) for j in range(5)]) for i in range(5)]
+        assert find_plane_type(identity, 5, budget_ms=1000) is None
+        assert 1 + 12120 // (1024 + 15) <= Clock.reads - 1 <= 1 + 12120 // 1024
