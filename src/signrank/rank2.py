@@ -25,9 +25,10 @@ and find_plane_type is the one search for a plane whose sign set is
 orthogonal to a list of sign vectors. That search decides mr <= n-2 in
 minrank and supplies the plane of the rank n-2 realization in realize;
 its first hit is the certificate. It is bitsliced: one Python int holds
-a bit per orientation of a structure, so all orientations are decided
-together, and each is tested against the c rays of the type only (its
-cocircuits), which is equivalent to testing its whole sign set.
+a bit per orientation of a structure, up to 1024 of them, so those
+orientations are decided together, and each is tested against the c rays
+of the type only (its cocircuits), which is equivalent to testing its
+whole sign set.
 
 Orientation canon: only the lowest-indexed nonzero coordinate is pinned
 to +, which quotients exactly the global-negation symmetry (a basis and
@@ -277,18 +278,22 @@ def type_sign_sets(n: int, min_classes: int = 0) -> Iterator[set[tuple[int, int]
         yield _packed_sign_set(class_masks, neg_mask)
 
 
+_SLICE_BITS = 10  # orientation flip bits decided together: 1024 combos per int
+
+
 @lru_cache(maxsize=32)
-def _orientation_slices(s: int) -> tuple[int, tuple[int, ...]]:
-    """Bitsets over the 2^(s-1) orientation combos of a support of size s.
+def _orientation_slices(k: int) -> tuple[int, tuple[int, ...]]:
+    """Bitsets over the 2^k combos of the flip bits of support positions
+    1..k.
 
     Returns (every combo, plus) where plus[p] holds the combos that keep
     support position p positive: all of them for p = 0, which is pinned,
-    and those with bit p-1 clear otherwise.
+    and those with bit p-1 clear for p = 1..k.
     """
-    width = 1 << (s - 1)
+    width = 1 << k
     every = (1 << width) - 1
     plus = [every]
-    for b in range(s - 1):
+    for b in range(k):
         half = 1 << b
         period = (1 << 2 * half) - 1  # a block of 2^(b+1) combos
         flipped = ((1 << half) - 1) << half  # its upper half has bit b set
@@ -298,17 +303,24 @@ def _orientation_slices(s: int) -> tuple[int, tuple[int, ...]]:
 
 def _fold_lines(
     support: tuple[int, ...], packed: list[tuple[int, int]]
-) -> tuple[int, list[tuple[int, dict[int, tuple[int, int]]]]]:
+) -> tuple[int, tuple[int, ...], list[tuple[int, int, dict[int, tuple[int, int]], int, int]]]:
     """The lines as every structure on this support sees them.
 
-    Returns the set of all orientation combos and, per line, its reach
-    (its support inside the support) and a map from each reached
-    coordinate bit to the pair (combos where the oriented line is + there,
-    combos where it is -). Lines that reach nothing are orthogonal to every
-    covector and are dropped; a line and its negation admit the same
-    combos, so only the first of the two is kept.
+    The orientation combo of the support splits into its low _SLICE_BITS
+    flip bits, held as the bits of one int, and the high ones, which the
+    search walks one value at a time. Returns (all low combos, high),
+    where high lists the coordinate bit that each high flip bit negates,
+    and per line its reach (its support inside the support), the low part
+    of its reach, a map from each low reached coordinate bit to the pair
+    (low combos where the oriented line is + there, low combos where it is
+    -), and the line's + and - coordinates among the high ones before any
+    flip. Lines that reach nothing are orthogonal to every covector and
+    are dropped; a line and its negation admit the same combos, so only
+    the first of the two is kept.
     """
-    every, plus = _orientation_slices(len(support))
+    k = min(len(support) - 1, _SLICE_BITS)
+    every, plus = _orientation_slices(k)
+    low = sum(1 << i for i in support[: k + 1])
     inside = sum(1 << i for i in support)
     folded = {}
     for pos, neg in packed:
@@ -322,8 +334,9 @@ def _fold_lines(
                 oriented[1 << i] = (kept, every ^ kept)
             elif lq >> i & 1:
                 oriented[1 << i] = (every ^ kept, kept)
-        folded[key] = (lp | lq, oriented)
-    return every, list(folded.values())
+        folded[key] = (lp | lq, (lp | lq) & low, oriented, lp & ~low, lq & ~low)
+    high = tuple(1 << i for i in support[k + 1 :])
+    return every, high, list(folded.values())
 
 
 def find_plane_type(
@@ -337,15 +350,17 @@ def find_plane_type(
     subspace of dimension n-2; no hit is a definitive negative because
     every real 2-dimensional plane has some type's sign set.
 
-    The search decides one ordered partition at a time, for all 2^(s-1)
-    orientations of its support of size s together: each orientation
-    combo is one bit of a Python int. A line is orthogonal to every
-    covector of a type exactly when it is orthogonal to every cocircuit
-    (Bjoerner, Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids,
-    1993, 3.7), and the cocircuits of a type are its c rays: ray j zeroes
-    class j and is + on the earlier classes, - on the later ones, times
-    the orientation. With P_i (N_i) the combos where the oriented line is
-    + (-) somewhere on class i, the combos that ray j admits are
+    The search decides one ordered partition at a time, for up to 1024
+    orientations of its support together: each orientation combo of the
+    low 10 flip bits is one bit of a Python int, and the higher flip bits,
+    if the support has more than 11 coordinates, are walked in ascending
+    order outside it. A line is orthogonal to every covector of a type
+    exactly when it is orthogonal to every cocircuit (Bjoerner, Las
+    Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 1993, 3.7),
+    and the cocircuits of a type are its c rays: ray j zeroes class j and
+    is + on the earlier classes, - on the later ones, times the
+    orientation. With P_i (N_i) the combos where the oriented line is +
+    (-) somewhere on class i, the combos that ray j admits are
     (OR_{i<j} P_i | OR_{i>j} N_i) & (OR_{i<j} N_i | OR_{i>j} P_i); a line
     whose support lies inside class j is orthogonal to ray j under every
     orientation and skips it. The lowest bit of the AND over all lines and
@@ -353,10 +368,10 @@ def find_plane_type(
     is the type-by-type walk's.
 
     Raises BudgetExceededError once budget_ms has passed, read before the
-    first partition and then whenever 1024 or more types have been
-    decided since the last read, so budget_ms=0 stops any search that has
-    a type to test. Raises DimensionError for a line whose length is not
-    n.
+    first block of orientations and then whenever 1024 or more types have
+    been decided since the last read, so budget_ms=0 stops any search that
+    has a type to test. Raises DimensionError for a line whose length is
+    not n.
     """
     for v in lines:
         if v.n != n:
@@ -366,50 +381,56 @@ def find_plane_type(
     unread = 1024  # types decided since the clock was last read
     current = None
     for zero_mask, support, class_masks in _iter_structures(n, min_classes=2):
-        if deadline is not None and unread >= 1024:
-            if time.monotonic() >= deadline:
-                raise BudgetExceededError("type search ran out of budget")
-            unread = 0
-        unread += 1 << (len(support) - 1)
         if zero_mask != current:
             current = zero_mask
-            every, folded = _fold_lines(support, packed)
-        admitted = every
+            every, high, folded = _fold_lines(support, packed)
+            width = every.bit_length()
         c = len(class_masks)
-        for reach, oriented in folded:
-            pos, neg = [], []
-            for m in class_masks:
-                p = q = 0
-                rest = reach & m
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    plus, minus = oriented[bit]
-                    p |= plus
-                    q |= minus
-                pos.append(p)
-                neg.append(q)
-            after = [None] * c
-            after_p = after_n = 0
-            for j in range(c - 1, -1, -1):
-                after[j] = (after_p, after_n)
-                after_p |= pos[j]
-                after_n |= neg[j]
-            before_p = before_n = 0
-            for j, m in enumerate(class_masks):
-                if reach & ~m:  # else the line lies in class j, orthogonal to ray j
-                    after_p, after_n = after[j]
-                    admitted &= (before_p | after_n) & (before_n | after_p)
-                    if not admitted:
-                        break
-                before_p |= pos[j]
-                before_n |= neg[j]
-            if not admitted:
-                break
-        if admitted:
-            combo = (admitted & -admitted).bit_length() - 1
-            neg_mask = _orientation_masks(support)[combo]
-            return _raw_to_type(n, zero_mask, class_masks, neg_mask)
+        for h in range(1 << len(high)):
+            if deadline is not None and unread >= 1024:
+                if time.monotonic() >= deadline:
+                    raise BudgetExceededError("type search ran out of budget")
+                unread = 0
+            unread += width
+            flip = sum(bit for b, bit in enumerate(high) if h >> b & 1)
+            admitted = every
+            for reach, low, oriented, hp, hq in folded:
+                if flip:
+                    hp, hq = hp & ~flip | hq & flip, hq & ~flip | hp & flip
+                pos, neg = [], []
+                for m in class_masks:
+                    p = every if hp & m else 0
+                    q = every if hq & m else 0
+                    rest = low & m
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        plus, minus = oriented[bit]
+                        p |= plus
+                        q |= minus
+                    pos.append(p)
+                    neg.append(q)
+                after = [None] * c
+                after_p = after_n = 0
+                for j in range(c - 1, -1, -1):
+                    after[j] = (after_p, after_n)
+                    after_p |= pos[j]
+                    after_n |= neg[j]
+                before_p = before_n = 0
+                for j, m in enumerate(class_masks):
+                    if reach & ~m:  # else the line lies in class j, orthogonal to ray j
+                        after_p, after_n = after[j]
+                        admitted &= (before_p | after_n) & (before_n | after_p)
+                        if not admitted:
+                            break
+                    before_p |= pos[j]
+                    before_n |= neg[j]
+                if not admitted:
+                    break
+            if admitted:
+                combo = h * width + (admitted & -admitted).bit_length() - 1
+                neg_mask = sum(1 << i for b, i in enumerate(support[1:]) if combo >> b & 1)
+                return _raw_to_type(n, zero_mask, class_masks, neg_mask)
     return None
 
 

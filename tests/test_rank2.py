@@ -1,5 +1,6 @@
 """Rank-2 certificates, realizations, and type enumeration."""
 
+import time
 from itertools import product
 from pathlib import Path
 from random import Random
@@ -465,6 +466,24 @@ class TestFindPlaneType:
             assert outcomes.get((n, False), 0) > 0
         assert sum(count for (_, exhausted), count in outcomes.items() if exhausted) >= 50
 
+    @pytest.mark.parametrize("slice_bits", [0, 1, 2])
+    def test_narrow_slices_equal_the_reference_walk(self, monkeypatch, slice_bits):
+        # supports wider than the slice walk their high flip bits one value
+        # at a time; narrowing the slice sends small searches down that path
+        monkeypatch.setattr(rank2, "_SLICE_BITS", slice_bits)
+        rng = Random(2)
+        outcomes = {}
+        for i in range(120):
+            n = 2 + i % 4
+            lines = [
+                SignVector.from_signs([rng.choice((-1, 0, 1)) for _ in range(n)])
+                for _ in range(rng.randint(0, 7))
+            ]
+            expected = reference_find_plane_type(lines, n)
+            assert find_plane_type(lines, n) == expected
+            outcomes[expected is None] = outcomes.get(expected is None, 0) + 1
+        assert outcomes.get(False, 0) > 20 and outcomes.get(True, 0) > 20
+
     def test_equals_the_reference_walk_on_the_benchmark_searches(self, monkeypatch):
         # every search that min_rank, realize_corank2 and rationalize_equation
         # run on the benchmark's minrank and witness corpora
@@ -500,6 +519,16 @@ class TestFindPlaneType:
             identity = [SignVector.from_signs([int(i == j) for j in range(n)]) for i in range(n)]
             with pytest.raises(BudgetExceededError):
                 find_plane_type(identity, n, budget_ms=0)
+
+    def test_budget_bounds_a_wide_search(self):
+        # the identity lines at n = 26 admit no plane; the first partition
+        # alone has 2^25 orientations, which the search must not hold at once
+        n = 26
+        identity = [SignVector.from_signs([int(i == j) for j in range(n)]) for i in range(n)]
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError):
+            find_plane_type(identity, n, budget_ms=50)
+        assert time.monotonic() - start < 5.0
 
     def test_clock_is_read_once_per_1024_types(self, monkeypatch):
         # the identity lines exhaust all 12,120 types of n = 5; the clock is
