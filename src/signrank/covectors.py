@@ -71,7 +71,7 @@ class SubspaceSignReport:
             raise InternalCheckError("sign set misses the zero vector")
         if not self.signs.is_negation_closed():
             raise InternalCheckError("sign set is not closed under negation")
-        if set(self.witnesses) != set(self.signs.vectors):
+        if len(self.witnesses) != len(self.signs) or not all(s in self.signs for s in self.witnesses):
             raise InternalCheckError("witness map does not cover the sign set")
 
     def verify_witnesses(self) -> bool:

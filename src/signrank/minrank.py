@@ -73,7 +73,9 @@ def is_L_matrix(pattern: SignPattern) -> tuple[bool, Optional[SignVector]]:
 
     Equivalent formulation used here: no nonzero sign vector is orthogonal
     to every row. The falsifying witness, when one exists, is the
-    canonically least nonzero vector orthogonal to all rows.
+    canonically least nonzero vector orthogonal to all rows. The perp set
+    comes back as bits from the bitsliced `set_perp` and decodes lazily,
+    so the loop stops at the first nonzero member after decoding two.
     """
     perp = set_perp(pattern.row_vectors, n=pattern.cols)
     for v in perp:

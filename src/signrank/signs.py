@@ -4,7 +4,18 @@ Signs are the ints -1, 0, +1. A SignVector stores two bit masks (positive
 and negative support), which keeps orthogonality tests and the exponential
 enumerations elsewhere in the package cheap. The canonical total order on
 sign vectors is lexicographic under the entry encoding 0 -> 0, + -> 1,
-- -> 2; `SignVector.sort_key` realizes it as a base-3 integer.
+- -> 2; `SignVector.sort_key` realizes it as a base-3 integer, the
+canonical index of the vector among all 3^n.
+
+`set_perp` is bitsliced over that index: a set of length-n vectors is one
+3^n-bit int, and the per-coordinate bitsets P_i / N_i (the indices with +
+/ - at coordinate i) turn each member's orthogonality test into a few
+big-int operations. A SignVectorSet is either built from vectors (a
+sorted tuple and a frozenset, no 3^n allocation, however long the
+vectors) or holds the 3^n bits that `set_perp` produced and decodes its
+members lazily, in canonical order, by base-3 arithmetic. Memory of 3^n
+bits is spent only by `set_perp`, by its result, and by a vector-built set
+compared with such a result.
 """
 
 from dataclasses import dataclass
@@ -287,84 +298,198 @@ class SignPattern:
 
 
 class SignVectorSet:
-    """A deduplicated set of equal-length sign vectors in canonical order."""
+    """A deduplicated set of equal-length sign vectors in canonical order.
 
-    __slots__ = ("n", "vectors", "_lookup")
+    A set has one of two sources and the same behaviour either way. Built
+    from vectors, it keeps them as a sorted tuple plus a frozenset and
+    never allocates 3^n bits. Built by `set_perp`, it keeps the kernel's
+    3^n-bit int (bit k set iff the vector whose `sort_key` is k is a
+    member) and decodes members lazily, in canonical order, as they are
+    iterated; `len`, `in`, `contains_zero` and `==` read the bits. A
+    vector-backed set compared with a bits-backed one of the same length
+    derives (and keeps) its own bits.
+    """
+
+    __slots__ = ("n", "_vectors", "_lookup", "_bits")
 
     def __init__(self, n: int, vectors: Iterable[SignVector] = ()):
         vecs = set(vectors)
         for v in vecs:
             if v.n != n:
                 raise DimensionError(f"vector of length {v.n} in a length-{n} set")
-        ordered = tuple(sorted(vecs, key=SignVector.sort_key))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vectors", ordered)
+        object.__setattr__(self, "_vectors", tuple(sorted(vecs, key=SignVector.sort_key)))
         object.__setattr__(self, "_lookup", frozenset(vecs))
+        object.__setattr__(self, "_bits", None)
+
+    @classmethod
+    def _from_bits(cls, n: int, bits: int) -> "SignVectorSet":
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_vectors", None)
+        object.__setattr__(self, "_lookup", None)
+        object.__setattr__(self, "_bits", bits)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SignVectorSet is immutable")
 
-    def __contains__(self, v: SignVector) -> bool:
-        return v in self._lookup
+    def _bitset(self) -> int:
+        """The members as a 3^n-bit int, derived once for a vector-backed set."""
+        if self._bits is None:
+            index = bytearray((3**self.n + 7) // 8)
+            for v in self._vectors:
+                k = v.sort_key()
+                index[k >> 3] |= 1 << (k & 7)
+            object.__setattr__(self, "_bits", int.from_bytes(index, "little"))
+        return self._bits
+
+    @property
+    def vectors(self) -> tuple[SignVector, ...]:
+        return self._vectors if self._lookup is not None else tuple(self)
+
+    def __contains__(self, v) -> bool:
+        if self._lookup is not None:
+            return v in self._lookup
+        return isinstance(v, SignVector) and v.n == self.n and bool(self._bits >> v.sort_key() & 1)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self._vectors) if self._lookup is not None else self._bits.bit_count()
 
     def __iter__(self) -> Iterator[SignVector]:
-        return iter(self.vectors)
+        if self._lookup is not None:
+            return iter(self._vectors)
+        n = self.n
+        return (SignVector(n, p, q) for p, q in _iter_index_masks(n, self._bits))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignVectorSet)
-            and self.n == other.n
-            and self._lookup == other._lookup
-        )
+        if not isinstance(other, SignVectorSet) or self.n != other.n:
+            return False
+        if self._lookup is not None and other._lookup is not None:
+            return self._lookup == other._lookup
+        return len(self) == len(other) and self._bitset() == other._bitset()
 
     def __hash__(self) -> int:
-        return hash((self.n, self._lookup))
+        return hash((self.n, self._lookup if self._lookup is not None else frozenset(self)))
 
     def to_strings(self) -> list[str]:
-        return [v.to_string() for v in self.vectors]
+        return [v.to_string() for v in self]
 
     def is_negation_closed(self) -> bool:
-        return all(-v in self._lookup for v in self.vectors)
+        lookup = self if self._lookup is None else self._lookup
+        return all(-v in lookup for v in self)
 
     def contains_zero(self) -> bool:
-        return SignVector.zero(self.n) in self._lookup
+        if self._lookup is not None:
+            return SignVector.zero(self.n) in self._lookup
+        return bool(self._bits & 1)
 
     def difference(self, other: "SignVectorSet") -> tuple[SignVector, ...]:
-        return tuple(v for v in self.vectors if v not in other._lookup)
+        if (self._lookup is not None and other._lookup is not None) or self.n != other.n:
+            return tuple(v for v in self if v not in other)
+        n = self.n
+        rest = self._bitset() & ~other._bitset()
+        return tuple(SignVector(n, p, q) for p, q in _iter_index_masks(n, rest))
 
     def __repr__(self) -> str:
-        return f"SignVectorSet(n={self.n}, size={len(self.vectors)})"
+        return f"SignVectorSet(n={self.n}, size={len(self)})"
 
 
-@lru_cache(maxsize=8)
-def _all_mask_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """All (pos, neg) mask pairs of length n in canonical order."""
-    pairs: list[tuple[int, int]] = [(0, 0)]
-    for i in range(n):
-        bit = 1 << i
-        pairs = [
-            (p | pb, q | qb) for (p, q) in pairs for (pb, qb) in ((0, 0), (bit, 0), (0, bit))
-        ]
-    return tuple(pairs)
+# Canonical index k of a length-n sign vector: its `sort_key`, the base-3
+# number whose digit for coordinate i (weight 3^(n-1-i)) is 0, 1, 2 for
+# 0, +, -. Sets of vectors are 3^n-bit ints over this index.
+
+_LOW_DIGITS = 6  # decode in chunks of 3^6 indices that share their leading digits
+
+
+def _digit_masks(index: int, count: int, first: int) -> tuple[int, int]:
+    """(pos, neg) masks of the `count` base-3 digits of `index`, read as
+    coordinates first .. first+count-1, most significant digit first."""
+    pos = neg = 0
+    for i in range(first + count - 1, first - 1, -1):
+        index, digit = divmod(index, 3)
+        if digit == 1:
+            pos |= 1 << i
+        elif digit == 2:
+            neg |= 1 << i
+    return pos, neg
+
+
+@lru_cache(maxsize=16)
+def _low_digit_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """(pos, neg) of every index below 3^m over the last m = min(n, 6)
+    coordinates of a length-n vector."""
+    m = min(n, _LOW_DIGITS)
+    return tuple(_digit_masks(j, m, n - m) for j in range(3**m))
+
+
+def _iter_index_masks(n: int, bits: int) -> Iterator[tuple[int, int]]:
+    """(pos, neg) of every set bit of a 3^n-bit index set, in canonical
+    order, decoded arithmetically one 3^6-index chunk at a time."""
+    low = _low_digit_masks(n)
+    m = min(n, _LOW_DIGITS)
+    width = 3**m
+    chunk_mask = (1 << width) - 1
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    for chunk in range(-(-bits.bit_length() // width)):
+        start = chunk * width
+        word = int.from_bytes(data[start >> 3 : (start + width + 7) >> 3], "little")
+        word = word >> (start & 7) & chunk_mask
+        if not word:
+            continue
+        hp, hn = _digit_masks(chunk, n - m, 0)
+        while word:
+            lowest = word & -word
+            p, q = low[lowest.bit_length() - 1]
+            yield hp | p, hn | q
+            word ^= lowest
 
 
 def all_sign_vectors(n: int) -> Iterator[SignVector]:
     """All 3^n sign vectors of length n, in canonical order."""
-    return (SignVector(n, p, q) for p, q in _all_mask_pairs(n))
+    return (SignVector(n, p, q) for p, q in _iter_index_masks(n, (1 << 3**n) - 1))
 
 
-def _dedup_mask_pairs(vectors: Iterable[SignVector]) -> list[tuple[int, int]]:
-    """Nonzero members, one of each +/- pair, sorted by support size."""
-    seen = set()
-    for v in vectors:
-        pn = (v.pos, v.neg)
-        if v.is_zero() or pn in seen or (v.neg, v.pos) in seen:
-            continue
-        seen.add(pn)
-    return sorted(seen, key=lambda pn: (pn[0] | pn[1]).bit_count())
+def _tile(block: int, width: int, count: int) -> int:
+    """`count` copies of a `width`-bit block side by side, by doubling."""
+    out = filled = 0
+    while count:
+        if count & 1:
+            out |= block << filled
+            filled += width
+        block |= block << width
+        width *= 2
+        count >>= 1
+    return out
+
+
+_CACHED_WIDTH = 12  # coordinate masks of longer vectors are rebuilt per call
+_SUBSET_WIDTH = 8  # up to this length, the ORs over every support are tabulated
+
+
+@lru_cache(maxsize=8)
+def _coordinate_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """(P_i, N_i) for each coordinate i: the 3^n-bit index sets of the
+    vectors with + (P_i) and with - (N_i) at coordinate i."""
+    masks = []
+    for i in range(n):
+        w = 3 ** (n - 1 - i)
+        plus = _tile(((1 << w) - 1) << w, 3 * w, 3**i)
+        masks.append((plus, plus << w))
+    return tuple(masks)
+
+
+@lru_cache(maxsize=8)
+def _subset_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For every coordinate mask s < 2^n, the OR of P_i (and of N_i) over
+    the coordinates i in s: 2^(n+1) ints of 3^n bits, so small n only."""
+    plus, minus = [0] * (1 << n), [0] * (1 << n)
+    for i, (p, q) in enumerate(_coordinate_masks(n)):
+        bit = 1 << i
+        for s in range(bit):
+            plus[bit | s] = plus[s] | p
+            minus[bit | s] = minus[s] | q
+    return tuple(plus), tuple(minus)
 
 
 def set_perp(vectors, n: int | None = None) -> SignVectorSet:
@@ -372,6 +497,18 @@ def set_perp(vectors, n: int | None = None) -> SignVectorSet:
 
     Accepts a SignVectorSet (preferred) or any iterable of SignVector plus
     the ambient length n; every member must have length n.
+
+    Bitsliced: the 3^n candidates are the bits of one int over the
+    canonical index (`SignVector.sort_key`). A candidate agrees with a
+    member x at some coordinate iff it lies in the OR of P_i over x's +
+    coordinates and N_i over its - coordinates, and opposes x iff it lies
+    in the same OR with P and N swapped (see `_coordinate_masks`). It is
+    orthogonal to x unless exactly one of the two holds, so each member
+    costs a few big-int operations, whatever the size of the result. Up
+    to length 8 the ORs come from a table over all supports. The result
+    is bits-backed and decodes lazily, so a caller that reads one member
+    decodes one. 3^n-bit ints live only here, in that result and in the
+    mask caches, which keep lengths up to 12 (1.6 MB at 12).
     """
     if isinstance(vectors, SignVectorSet):
         n = vectors.n
@@ -384,15 +521,26 @@ def set_perp(vectors, n: int | None = None) -> SignVectorSet:
         for v in vectors:
             if v.n != n:
                 raise DimensionError(f"sign vector of length {v.n} against ambient length {n}")
-    xs = _dedup_mask_pairs(vectors)
-    out = []
-    for cp, cn in _all_mask_pairs(n):
-        for xp, xn in xs:
-            if bool((cp & xp) | (cn & xn)) != bool((cp & xn) | (cn & xp)):
-                break
-        else:
-            out.append(SignVector(n, cp, cn))
-    return SignVectorSet(n, out)
+    bad = 0  # candidates not orthogonal to some member
+    if n <= _SUBSET_WIDTH:
+        plus, minus = _subset_masks(n)
+        for v in vectors:
+            xp, xn = v.pos, v.neg
+            bad |= (plus[xp] | minus[xn]) ^ (minus[xp] | plus[xn])
+    else:
+        masks = _coordinate_masks(n) if n <= _CACHED_WIDTH else _coordinate_masks.__wrapped__(n)
+        for v in vectors:
+            xp, xn = v.pos, v.neg
+            agree = oppose = 0
+            for i, (p, q) in enumerate(masks):
+                if xp >> i & 1:
+                    agree |= p
+                    oppose |= q
+                elif xn >> i & 1:
+                    agree |= q
+                    oppose |= p
+            bad |= agree ^ oppose
+    return SignVectorSet._from_bits(n, ((1 << 3**n) - 1) & ~bad)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Minimum-rank decision ladder and its certificates."""
 
+import time
 from itertools import product
 from random import Random
 
@@ -82,6 +83,27 @@ class TestIsLMatrix:
             seen += 1
             assert not witness.is_zero()
             assert all(orthogonal(r, witness) for r in pattern.row_vectors)
+
+
+def dense_fourteen():
+    rng = Random(14)
+    return SignPattern.from_grid([[rng.choice((-1, 0, 1)) for _ in range(14)] for _ in range(14)])
+
+
+class TestDenseFourteen:
+    # 3^14 candidates: the L-matrix rung reads one null vector of the
+    # bitsliced perp set instead of building all of its members
+    def test_is_L_matrix_returns_the_least_null_vector(self):
+        ok, witness = is_L_matrix(dense_fourteen())
+        assert not ok
+        assert witness.to_string() == "000000000+++-+"
+
+    def test_min_rank_brackets_within_the_budget(self):
+        start = time.perf_counter()
+        bracket = min_rank(dense_fourteen(), budget_ms=1000)
+        assert time.perf_counter() - start < 5
+        assert (bracket.lower, bracket.upper) == (3, 12)
+        assert [c.kind for c in bracket.certificates] == ["null-vector", "rank2-type"]
 
 
 class TestMrLeNMinus2:

@@ -1,15 +1,19 @@
 """Sign vector / sign pattern calculus."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import signrank.signs
+from signrank.covectors import sign_vectors
 from signrank.errors import DimensionError, ParseError
-from signrank.rational import RationalMatrix
+from signrank.rational import RationalMatrix, RationalSubspace
 from signrank.signs import (
     SignPattern,
     SignVector,
@@ -25,6 +29,8 @@ from signrank.signs import (
 )
 
 sign_entries = st.sampled_from((-1, 0, 1))
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 
 def patterns(max_rows=4, max_cols=4):
@@ -139,6 +145,192 @@ def brute_perp(vectors, n):
         if ok:
             out.append(candidate)
     return out
+
+
+@lru_cache(maxsize=None)
+def reference_mask_pairs(n):
+    """All (pos, neg) mask pairs of length n in canonical order."""
+    pairs = [(0, 0)]
+    for i in range(n):
+        bit = 1 << i
+        pairs = [
+            (p | pb, q | qb) for (p, q) in pairs for (pb, qb) in ((0, 0), (bit, 0), (0, bit))
+        ]
+    return tuple(pairs)
+
+
+def reference_set_perp(vectors, n):
+    """The candidate loop that set_perp ran before its bitsliced kernel, kept
+    as the reference: each of the 3^n candidates, in canonical order, is
+    tested against every nonzero member (one of each +/- pair, narrowest
+    first) until one is not orthogonal to it."""
+    seen = set()
+    for v in vectors:
+        pn = (v.pos, v.neg)
+        if v.is_zero() or pn in seen or (v.neg, v.pos) in seen:
+            continue
+        seen.add(pn)
+    xs = sorted(seen, key=lambda pn: (pn[0] | pn[1]).bit_count())
+    out = []
+    for cp, cn in reference_mask_pairs(n):
+        for xp, xn in xs:
+            if bool((cp & xp) | (cn & xn)) != bool((cp & xn) | (cn & xp)):
+                break
+        else:
+            out.append(SignVector(n, cp, cn))
+    return SignVectorSet(n, out)
+
+
+def random_vector(rng, n, zero_share):
+    return SignVector.from_signs(
+        0 if rng.random() < zero_share else rng.choice((-1, 1)) for _ in range(n)
+    )
+
+
+def seeded_member_lists(seed, widths, per_width):
+    """Member lists with duplicates, +/- pairs and zero vectors mixed in."""
+    rng = Random(seed)
+    for n in widths:
+        for _ in range(per_width):
+            zero_share = rng.random()
+            members = [random_vector(rng, n, zero_share) for _ in range(rng.randint(0, 2 * n + 2))]
+            extra = []
+            for v in members:
+                roll = rng.random()
+                if roll < 0.2:
+                    extra.append(v)
+                elif roll < 0.4:
+                    extra.append(-v)
+            if rng.random() < 0.3:
+                extra.append(SignVector.zero(n))
+            members += extra
+            rng.shuffle(members)
+            yield n, members
+
+
+def duality_corpus_sign_sets():
+    for path in sorted((CORPUS / "duality").glob("k*.mat")):
+        matrix = RationalMatrix.parse(path.read_text(encoding="utf-8"))
+        yield path.name, sign_vectors(RationalSubspace(matrix.rows, matrix)).signs
+
+
+class TestSetPerpAgainstReference:
+    def test_seeded_sets_up_to_eight(self):
+        sizes = set()
+        for n, members in seeded_member_lists(81, range(9), 24):
+            expected = list(reference_set_perp(members, n))
+            assert list(set_perp(members, n=n)) == expected
+            assert list(set_perp(SignVectorSet(n, members))) == expected
+            sizes.add(len(expected))
+        assert len(sizes) > 50
+
+    def test_seeded_sets_on_the_coordinate_path(self):
+        # lengths above the subset tables OR the per-coordinate masks
+        for n, members in seeded_member_lists(82, (9, 10), 3):
+            assert list(set_perp(members, n=n)) == list(reference_set_perp(members, n))
+
+    @pytest.mark.parametrize("subset_width, cached_width", [(0, 12), (0, 0)])
+    def test_coordinate_and_uncached_paths(self, monkeypatch, subset_width, cached_width):
+        monkeypatch.setattr(signrank.signs, "_SUBSET_WIDTH", subset_width)
+        monkeypatch.setattr(signrank.signs, "_CACHED_WIDTH", cached_width)
+        for n, members in seeded_member_lists(83, range(7), 10):
+            assert list(set_perp(members, n=n)) == list(reference_set_perp(members, n))
+
+    def test_every_single_vector_and_pair_up_to_three(self):
+        for n in range(4):
+            vectors = list(all_sign_vectors(n))
+            for members in combinations_with_replacement(vectors, 2):
+                for chosen in (members[:1], members):
+                    assert list(set_perp(chosen, n=n)) == list(reference_set_perp(chosen, n))
+
+    def test_duality_corpus_sign_sets(self):
+        names = []
+        for name, signs in duality_corpus_sign_sets():
+            assert list(set_perp(signs)) == list(reference_set_perp(signs, signs.n))
+            names.append(name)
+        assert len(names) == 36
+
+
+def bits_of(model):
+    return sum(1 << v.sort_key() for v in model)
+
+
+def model_sets(seed):
+    """Frozenset models: empty, zero only, the full cube, seeded subsets."""
+    rng = Random(seed)
+    for n in range(5):
+        cube = list(all_sign_vectors(n))
+        yield n, frozenset()
+        yield n, frozenset([SignVector.zero(n)])
+        yield n, frozenset(cube)
+        for _ in range(6):
+            yield n, frozenset(rng.sample(cube, rng.randint(1, len(cube))))
+
+
+def both_sources(n, model):
+    return SignVectorSet(n, model), SignVectorSet._from_bits(n, bits_of(model))
+
+
+class TestSignVectorSetSources:
+    def test_queries_match_the_model(self):
+        for n, model in model_sets(91):
+            cube = list(all_sign_vectors(n))
+            ordered = sorted(model, key=SignVector.sort_key)
+            for s in both_sources(n, model):
+                assert len(s) == len(model)
+                assert list(s) == ordered
+                assert s.vectors == tuple(ordered)
+                assert s.to_strings() == [v.to_string() for v in ordered]
+                assert s.contains_zero() == (SignVector.zero(n) in model)
+                assert [v in s for v in cube] == [v in model for v in cube]
+                assert SignVector.zero(n + 1) not in s
+                assert "0" * n not in s
+                assert s.is_negation_closed() == all(-v in model for v in model)
+                assert repr(s) == f"SignVectorSet(n={n}, size={len(model)})"
+
+    def test_equality_and_hash_across_sources(self):
+        models = list(model_sets(92))
+        for n, model in models:
+            vec, bits = both_sources(n, model)
+            assert vec == bits and bits == vec
+            assert hash(vec) == hash(bits)
+            assert vec != SignVectorSet(n + 1, ()) and bits != SignVectorSet._from_bits(n + 1, 0)
+        for (n, a), (m, b) in combinations(models[:40], 2):
+            for x in both_sources(n, a):
+                for y in both_sources(m, b):
+                    assert (x == y) == (n == m and a == b)
+
+    def test_difference_in_both_directions(self):
+        models = list(model_sets(93))
+        for (n, a), (m, b) in combinations(models, 2):
+            if n != m:
+                continue
+            for x in both_sources(n, a):
+                for y in both_sources(n, b):
+                    assert x.difference(y) == tuple(sorted(a - b, key=SignVector.sort_key))
+                    assert y.difference(x) == tuple(sorted(b - a, key=SignVector.sort_key))
+
+    def test_perp_sets_equal_their_vector_built_copies(self):
+        for n, members in seeded_member_lists(94, range(6), 10):
+            perp = set_perp(members, n=n)
+            copy = SignVectorSet(n, list(perp))
+            assert perp == copy and copy == perp
+            assert perp.difference(copy) == () == copy.difference(perp)
+            assert perp.is_negation_closed() and perp.contains_zero()
+
+    def test_sparse_sets_never_allocate_the_cube(self):
+        # 3^40 bits would not fit in memory; a vector-built set never asks
+        zero = SignVector.zero(40)
+        s = SignVectorSet(40, [zero])
+        assert len(s) == 1 and zero in s and s.contains_zero() and s.is_negation_closed()
+        assert list(s) == [zero]
+        assert s == SignVectorSet(40, [zero]) and s.difference(SignVectorSet(40, ())) == (zero,)
+
+    def test_wide_line_has_three_sign_vectors(self):
+        line = RationalSubspace.from_spanning(18, [[i + 1 for i in range(18)]])
+        report = sign_vectors(line)
+        assert report.signs.to_strings() == ["0" * 18, "+" * 18, "-" * 18]
+        assert report.verify_witnesses()
 
 
 class TestSetPerp:
