@@ -4,7 +4,6 @@ realizations, oriented-matroid duality verification, and extremal
 sign-vector counts."""
 
 from .rational import (
-    Rational,
     RationalMatrix,
     RationalSubspace,
     nullspace_basis,

@@ -241,17 +241,22 @@ def _cmd_realize2(args) -> int:
     return EXIT_OK
 
 
+def _no_result(args, outcome, exhausted_text: str) -> int:
+    """Report a realization outcome without matrices: exhausted or cut."""
+    if args.json:
+        _emit_json({"status": outcome.status})
+    elif outcome.status == realize.STATUS_EXHAUSTED:
+        print(exhausted_text)
+    else:
+        print("inconclusive: search budget exceeded")
+    return EXIT_OK if outcome.definitive else EXIT_INCONCLUSIVE
+
+
 def _cmd_realize_nm2(args) -> int:
     pattern = _read_pattern(args.pattern)
     outcome = realize.realize_corank2(pattern, budget_ms=args.budget_ms)
     if outcome.result is None:
-        if args.json:
-            _emit_json({"status": outcome.status})
-        elif outcome.status == realize.STATUS_EXHAUSTED:
-            print("no realization: minimum rank exceeds rows-2 (type space exhausted)")
-        else:
-            print("inconclusive: search budget exceeded")
-        return EXIT_OK if outcome.definitive else EXIT_INCONCLUSIVE
+        return _no_result(args, outcome, "no realization: minimum rank exceeds rows-2 (type space exhausted)")
     result = outcome.result
     if args.out:
         _write_matrix(args.out, result.matrix)
@@ -279,13 +284,7 @@ def _cmd_rationalize(args) -> int:
     sE = _read_pattern(args.e_pattern)
     outcome = realize.rationalize_equation(sB, sC, sE, budget_ms=args.budget_ms)
     if outcome.factors is None:
-        if args.json:
-            _emit_json({"status": outcome.status})
-        elif outcome.status == realize.STATUS_EXHAUSTED:
-            print("no realization: the sign patterns admit no real solution")
-        else:
-            print("inconclusive: search budget exceeded")
-        return EXIT_OK if outcome.definitive else EXIT_INCONCLUSIVE
+        return _no_result(args, outcome, "no realization: the sign patterns admit no real solution")
     b_mat, c_mat, e_mat = outcome.factors
     if args.out:
         _write_matrix(args.out + "b.mat", b_mat)

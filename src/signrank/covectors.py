@@ -39,7 +39,7 @@ from .rational import (
     orth_complement,
     strict_feasibility,
 )
-from .signs import SignVector, SignVectorSet, set_perp
+from .signs import SignVector, SignVectorSet, set_perp, sign_of_vector
 
 __all__ = [
     "SubspaceSignReport",
@@ -79,7 +79,7 @@ class SubspaceSignReport:
         basis = self.subspace.basis
         for sv, x in self.witnesses.items():
             image = basis.apply(x)
-            if SignVector.from_signs((v > 0) - (v < 0) for v in image) != sv:
+            if sign_of_vector(image) != sv:
                 return False
         return True
 
@@ -169,15 +169,12 @@ def sign_vectors(subspace: RationalSubspace) -> SubspaceSignReport:
     zero_witness = (tuple(0 for _ in range(k)), tuple(0 for _ in range(n)))
     known: dict[tuple[int, int], tuple[tuple, tuple]] = {zero_key: zero_witness}
     if k > 0:
-        generators = _cocircuit_candidates(subspace.basis)
+        gens = _cocircuit_candidates(subspace.basis)
         # deterministic order: canonical order of the packed sign vectors
-        generators.sort(key=lambda g: SignVector(n, g[0], g[1]).sort_key())
-        queue = deque()
-        for p, q, coeff, img in generators:
-            if (p, q) not in known:
-                known[(p, q)] = (coeff, img)
-                queue.append((p, q))
-        gens = [(p, q, known[(p, q)]) for p, q, _, _ in generators]
+        gens.sort(key=lambda g: SignVector(n, g[0], g[1]).sort_key())
+        # the candidates are distinct and nonzero, so each seeds the queue
+        known.update(((p, q), (coeff, img)) for p, q, coeff, img in gens)
+        queue = deque((p, q) for p, q, _, _ in gens)
         full = (1 << n) - 1
         # zero set of u -> generators whose restrictions to it are distinct
         # and nonzero, each the first in generator order; composing u with any
@@ -198,7 +195,7 @@ def sign_vectors(subspace: RationalSubspace) -> SubspaceSignReport:
                         seen.add(r)
                         moves.append(g)
                 restrictions[zeros] = moves
-            for gp, gq, (g_coeff, g_img) in moves:
+            for gp, gq, g_coeff, g_img in moves:
                 w = (up | (gp & zeros), uq | (gq & zeros))
                 if w in known:
                     continue
@@ -239,7 +236,7 @@ def member_witness(
     if x is None:
         return None
     image = basis.apply(x)
-    if SignVector.from_signs((v > 0) - (v < 0) for v in image) != s:
+    if sign_of_vector(image) != s:
         raise InternalCheckError("feasible point does not realize the requested signs")
     return x
 

@@ -17,6 +17,7 @@ The type search itself lives in rank2.find_plane_type, shared with the
 rank n-2 realization in realize; mr_le_n_minus_2 runs it on the rows.
 """
 
+import time
 from dataclasses import dataclass
 from operator import mul
 from random import Random
@@ -186,7 +187,9 @@ def min_rank(
     pattern: SignPattern, budget_ms: int | None = None, seed: int = 0
 ) -> MinRankBracket:
     """Exact minimum rank when the decision ladder closes (always for
-    min(m, n) <= 5 and whenever an early rung fires), else a bracket."""
+    min(m, n) <= 5 and whenever an early rung fires), else a bracket. The
+    type search receives what the rungs before it left of budget_ms."""
+    start = time.monotonic()
     transposed = pattern.cols > pattern.rows
     working = pattern.transpose() if transposed else pattern
     d = working.cols
@@ -219,6 +222,8 @@ def min_rank(
     if d == 4:
         return _bracket(3, 3, transposed, certs)
 
+    if budget_ms is not None:
+        budget_ms = max(0, budget_ms - int((time.monotonic() - start) * 1000))
     try:
         plane_type = mr_le_n_minus_2(working, budget_ms=budget_ms)
     except BudgetExceededError:

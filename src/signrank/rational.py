@@ -13,10 +13,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, ParseError, SingularBlockError
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "RationalMatrix",
     "RationalSubspace",
     "parse_rational",
@@ -126,9 +123,6 @@ class RationalMatrix:
             )
         return RationalMatrix(out, cols=other.cols)
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self.mul(other)
-
     def apply(self, vector: Sequence) -> tuple:
         """Matrix-vector product, returned as a tuple of Fractions."""
         if len(vector) != self.cols:
@@ -136,12 +130,6 @@ class RationalMatrix:
         vec = [Fraction(e) for e in vector]
         return tuple(
             sum((row[k] * vec[k] for k in range(self.cols)), Fraction(0)) for row in self.data
-        )
-
-    def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.data[i][j] for j in col_indices] for i in row_indices],
-            cols=len(col_indices),
         )
 
     @property
@@ -360,32 +348,15 @@ def schur_complement(matrix: RationalMatrix, block: int) -> RationalMatrix:
     if block > min(matrix.rows, matrix.cols):
         raise DimensionError(f"leading block {block} exceeds matrix shape {matrix.shape}")
     n = block
-    d_grid = [list(matrix.data[i][:n]) for i in range(n)]
-    # invert D by eliminating against an identity payload
-    aug = [d_grid[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pivots = _rref_grid(aug)
-    if len(pivots) != n or pivots != tuple(range(n)):
-        raise SingularBlockError("leading block is singular")
-    d_inv = [row[n:] for row in aug]
-    c_block = [matrix.data[i][n:] for i in range(n)]
-    b_block = [matrix.data[i][:n] for i in range(n, matrix.rows)]
-    e_block = [matrix.data[i][n:] for i in range(n, matrix.rows)]
-    p = matrix.rows - n
     q = matrix.cols - n
-    # B D^{-1}
-    bdi = [
-        [sum((b_block[i][k] * d_inv[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(p)
-    ]
-    out = [
-        [
-            e_block[i][j]
-            - sum((bdi[i][k] * c_block[k][j] for k in range(n)), Fraction(0))
-            for j in range(q)
-        ]
-        for i in range(p)
-    ]
-    return RationalMatrix(out, cols=q)
+    # solve D X = C by reducing [D | C]; no inverse of D is formed
+    grid = [list(row) for row in matrix.data[:n]]
+    if _rref_grid(grid) != tuple(range(n)):
+        raise SingularBlockError("leading block is singular")
+    x = RationalMatrix([row[n:] for row in grid], cols=q)
+    bottom = matrix.data[n:]
+    bx = RationalMatrix([row[:n] for row in bottom], cols=n).mul(x)
+    return RationalMatrix([[e - v for e, v in zip(row[n:], r)] for row, r in zip(bottom, bx.data)], cols=q)
 
 
 def _primitive_row(coeffs: Sequence[int], rhs: int) -> tuple[tuple[int, ...], int]:

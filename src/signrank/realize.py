@@ -53,9 +53,8 @@ class RealizationResult:
 
 
 @dataclass(frozen=True)
-class RealizeOutcome:
+class _Outcome:
     status: str
-    result: Optional[RealizationResult]
 
     @property
     def ok(self) -> bool:
@@ -67,17 +66,13 @@ class RealizeOutcome:
 
 
 @dataclass(frozen=True)
-class RationalizeOutcome:
-    status: str
+class RealizeOutcome(_Outcome):
+    result: Optional[RealizationResult]
+
+
+@dataclass(frozen=True)
+class RationalizeOutcome(_Outcome):
     factors: Optional[tuple[RationalMatrix, RationalMatrix, RationalMatrix]]
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
-    @property
-    def definitive(self) -> bool:
-        return self.status in (STATUS_OK, STATUS_EXHAUSTED)
 
 
 def realize_corank2(pattern: SignPattern, budget_ms: int | None = None) -> RealizeOutcome:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from random import Random
 from typing import Callable, Optional
 
@@ -157,25 +157,19 @@ def _rank2_oracle(pattern: SignPattern) -> bool:
 def check_rank2_characterization() -> tuple[bool, str]:
     """mr_le_2 agrees with the type-membership oracle on all 3x3 patterns
     and 1000 seeded 4x4 patterns; every certificate realizes at rank 2."""
-    certificates = 0
-    for entries in product((-1, 0, 1), repeat=9):
-        pattern = SignPattern.from_grid([entries[0:3], entries[3:6], entries[6:9]])
-        cert = mr_le_2(pattern)
-        if (cert is not None) != _rank2_oracle(pattern):
-            return False, f"3x3 disagreement on {pattern.to_strings()}"
-        if cert is not None:
-            certificates += 1
-            realization = realize_rank2(pattern, cert)
-            if rank(realization) != 2 or sign_of(realization) != pattern:
-                return False, f"bad realization for {pattern.to_strings()}"
     rng = _cell_rng(7)
-    for _ in range(1000):
-        pattern = SignPattern.from_grid(
-            [[rng.choice((-1, 0, 1)) for _ in range(4)] for _ in range(4)]
-        )
+    patterns = chain(
+        (SignPattern.from_grid([e[0:3], e[3:6], e[6:9]]) for e in product((-1, 0, 1), repeat=9)),
+        (
+            SignPattern.from_grid([[rng.choice((-1, 0, 1)) for _ in range(4)] for _ in range(4)])
+            for _ in range(1000)
+        ),
+    )
+    certificates = 0
+    for pattern in patterns:
         cert = mr_le_2(pattern)
         if (cert is not None) != _rank2_oracle(pattern):
-            return False, f"4x4 disagreement on {pattern.to_strings()}"
+            return False, f"{pattern.rows}x{pattern.cols} disagreement on {pattern.to_strings()}"
         if cert is not None:
             certificates += 1
             realization = realize_rank2(pattern, cert)

@@ -13,9 +13,9 @@ canonical index of the vector among all 3^n.
 big-int operations. A SignVectorSet is either built from vectors (a
 sorted tuple and a frozenset, no 3^n allocation, however long the
 vectors) or holds the 3^n bits that `set_perp` produced and decodes its
-members lazily, in canonical order, by base-3 arithmetic. Memory of 3^n
-bits is spent only by `set_perp`, by its result, and by a vector-built set
-compared with such a result.
+members lazily, in canonical order, by base-3 arithmetic. 3^n-bit ints
+live only in `set_perp`, its result, its subset tables (n <= 8) and a
+vector-built set compared with such a result; no coordinate mask is cached.
 """
 
 from dataclasses import dataclass
@@ -146,9 +146,6 @@ class SignVector:
             neg >>= 8
         return key
 
-    def orthogonal(self, other: "SignVector") -> bool:
-        return orthogonal(self, other)
-
     def to_string(self) -> str:
         return "".join(_CHAR_FOR_SIGN[s] for s in self)
 
@@ -174,9 +171,7 @@ def sign_of_vector(values: Sequence) -> SignVector:
 
 def sign_of(matrix) -> "SignPattern":
     """Entrywise sign pattern of a rational matrix."""
-    return SignPattern.from_rows(
-        [sign_of_vector(matrix.row(i)) for i in range(matrix.rows)], cols=matrix.cols
-    )
+    return SignPattern([sign_of_vector(matrix.row(i)) for i in range(matrix.rows)], cols=matrix.cols)
 
 
 def orthogonal(c: SignVector, x: SignVector) -> bool:
@@ -210,10 +205,6 @@ class SignPattern:
 
     def __setattr__(self, name, value):
         raise AttributeError("SignPattern is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[SignVector], cols: int | None = None) -> "SignPattern":
-        return cls(rows, cols=cols)
 
     @classmethod
     def from_strings(cls, rows: Iterable[str]) -> "SignPattern":
@@ -270,9 +261,6 @@ class SignPattern:
 
     def transpose(self) -> "SignPattern":
         return SignPattern(self.column_vectors(), cols=self.rows)
-
-    def grid(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(r.signs() for r in self.row_vectors)
 
     def is_zero(self) -> bool:
         return all(r.is_zero() for r in self.row_vectors)
@@ -463,11 +451,9 @@ def _tile(block: int, width: int, count: int) -> int:
     return out
 
 
-_CACHED_WIDTH = 12  # coordinate masks of longer vectors are rebuilt per call
 _SUBSET_WIDTH = 8  # up to this length, the ORs over every support are tabulated
 
 
-@lru_cache(maxsize=8)
 def _coordinate_masks(n: int) -> tuple[tuple[int, int], ...]:
     """(P_i, N_i) for each coordinate i: the 3^n-bit index sets of the
     vectors with + (P_i) and with - (N_i) at coordinate i."""
@@ -508,7 +494,7 @@ def set_perp(vectors, n: int | None = None) -> SignVectorSet:
     to length 8 the ORs come from a table over all supports. The result
     is bits-backed and decodes lazily, so a caller that reads one member
     decodes one. 3^n-bit ints live only here, in that result and in the
-    mask caches, which keep lengths up to 12 (1.6 MB at 12).
+    subset tables for n <= 8; longer vectors rebuild their P_i / N_i per call.
     """
     if isinstance(vectors, SignVectorSet):
         n = vectors.n
@@ -528,7 +514,7 @@ def set_perp(vectors, n: int | None = None) -> SignVectorSet:
             xp, xn = v.pos, v.neg
             bad |= (plus[xp] | minus[xn]) ^ (minus[xp] | plus[xn])
     else:
-        masks = _coordinate_masks(n) if n <= _CACHED_WIDTH else _coordinate_masks.__wrapped__(n)
+        masks = _coordinate_masks(n)
         for v in vectors:
             xp, xn = v.pos, v.neg
             agree = oppose = 0

@@ -43,6 +43,16 @@ def test_no_module_imports_a_private_sibling_name():
     assert offenders == {}
 
 
+def test_every_exported_name_is_bound():
+    # a deleted definition must take its __all__ entry with it
+    stale = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        name = "signrank" if path.stem == "__init__" else f"signrank.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{attr}" for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert stale == []
+
+
 def test_every_binding_the_benchmark_wraps_exists(monkeypatch):
     # bench/run.py --trace wraps these names where the calling module binds
     # them; a binding that a simplification drops must fail here first

@@ -275,6 +275,27 @@ class TestMinRank:
             if not bracket.exact:
                 assert bracket.lower == 3 and bracket.upper in (4,)
 
+    def test_budget_caps_the_whole_call(self, monkeypatch):
+        # time spent in the earlier rungs comes off the type search's budget
+        budgets = []
+
+        def slow_rank2(pattern, budget_ms=None):
+            time.sleep(0.2)
+            return None
+
+        def recording_type_search(pattern, budget_ms=None):
+            budgets.append(budget_ms)
+            return None
+
+        monkeypatch.setattr(signrank.minrank, "mr_le_2", slow_rank2)
+        monkeypatch.setattr(signrank.minrank, "mr_le_n_minus_2", recording_type_search)
+        pattern = SignPattern.from_strings(
+            ["-+0++-", "-++++-", "+----+", "--0+-+", "+++-+-", "+++--+"]
+        )
+        min_rank(pattern, budget_ms=300)
+        assert len(budgets) == 1
+        assert isinstance(budgets[0], int) and 0 <= budgets[0] <= 100
+
 
 class TestRandomUpperBound:
     def test_all_plus_rank_one(self):

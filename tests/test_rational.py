@@ -287,6 +287,36 @@ class TestSchurComplement:
         assert rank(m) == n
         assert schur_complement(m, n).is_zero()
 
+    @pytest.mark.parametrize(
+        "rows, cols, block",
+        [(0, 0, 0), (2, 3, 0), (2, 4, 2), (3, 3, 3), (4, 2, 2), (3, 1, 1)],
+        ids=["empty", "zero-block", "no-rows-below", "square", "no-columns-right", "single-column"],
+    )
+    def test_edge_shapes_match_the_rref_solution(self, rows, cols, block):
+        rng = Random(rows * 100 + cols * 10 + block)
+        while True:
+            m = RationalMatrix(
+                [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)],
+                cols=cols,
+            )
+            if rank(RationalMatrix([row[:block] for row in m.data[:block]], cols=block)) == block:
+                break
+        n = block
+        # X from the rref of [D | C], then E - B X entry by entry
+        reduced, pivots = rref(RationalMatrix(m.data[:n], cols=cols))
+        assert pivots == tuple(range(n))
+        x = [reduced.data[i][n:] for i in range(n)]
+        expected = RationalMatrix(
+            [
+                [row[n + j] - sum((row[k] * x[k][j] for k in range(n)), Fraction(0)) for j in range(cols - n)]
+                for row in m.data[n:]
+            ],
+            cols=cols - n,
+        )
+        out = schur_complement(m, n)
+        assert out.shape == (rows - n, cols - n)
+        assert out == expected
+
 
 def brute_force_infeasible(equalities, positives, k):
     """Grid search over small rationals; True when nothing satisfies."""

@@ -229,10 +229,9 @@ class TestSetPerpAgainstReference:
         for n, members in seeded_member_lists(82, (9, 10), 3):
             assert list(set_perp(members, n=n)) == list(reference_set_perp(members, n))
 
-    @pytest.mark.parametrize("subset_width, cached_width", [(0, 12), (0, 0)])
-    def test_coordinate_and_uncached_paths(self, monkeypatch, subset_width, cached_width):
-        monkeypatch.setattr(signrank.signs, "_SUBSET_WIDTH", subset_width)
-        monkeypatch.setattr(signrank.signs, "_CACHED_WIDTH", cached_width)
+    def test_coordinate_and_uncached_paths(self, monkeypatch):
+        # no subset table: every length takes the per-call coordinate masks
+        monkeypatch.setattr(signrank.signs, "_SUBSET_WIDTH", 0)
         for n, members in seeded_member_lists(83, range(7), 10):
             assert list(set_perp(members, n=n)) == list(reference_set_perp(members, n))
 
