@@ -212,7 +212,7 @@ def _cmd_maxrank(args) -> int:
 
 def _cmd_realize2(args) -> int:
     pattern = _read_pattern(args.pattern)
-    cert = rank2.mr_le_2(pattern, budget_ms=args.budget_ms)
+    cert = rank2.mr_le_2(pattern)
     if cert is None:
         if args.json:
             _emit_json({"status": "no-certificate"})
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern")
     p.add_argument("--out", default=None, help="matrix output file")
     p.add_argument("--cert-out", default=None, help="certificate JSON output file")
-    common(p, budget=True)
+    common(p)
     p.set_defaults(func=_cmd_realize2)
 
     p = sub.add_parser("realize-nm2", help="rational rank n-2 realization (columnwise)")

@@ -2,11 +2,13 @@
 
 The entry point min_rank runs a decision ladder on the orientation with
 the fewer columns d: zero pattern; condensation collapse (mr <= 1); the
-rank-2 certificate; the L-matrix test (mr = d); the 2-dimensional type
-search (mr <= d-2); and the leftover rung mr = d-1. The ladder is exact
-whenever it closes the gap, which is guaranteed for d <= 5; for d >= 6 a
-bracket [3, d-2] remains, refined by the term rank and by randomized
-low-rank factorization witnesses.
+rank-2 certificate, which needs no budget; past it, [3, term rank] when
+d > WIDTH_CAP, or d > UNBUDGETED_WIDTH_CAP without a budget; the
+L-matrix test (mr = d); the 2-dimensional type search (mr <= d-2); and
+the leftover rung mr = d-1. The ladder is exact whenever it closes the
+gap, which is guaranteed for d <= 5; for d >= 6 a bracket [3, d-2]
+remains, refined by the term rank and by randomized low-rank
+factorization witnesses.
 
 random_upper_bound draws each factorization U V from the stream of
 Random(seed).randint(-3, 3), replayed in batches by lattice_draws, and
@@ -179,6 +181,11 @@ def random_upper_bound(
     return None
 
 
+# The later rungs are exponential in d: is_L_matrix builds 3^d-bit masks.
+WIDTH_CAP = 16
+UNBUDGETED_WIDTH_CAP = 12
+
+
 def _bracket(lower, upper, transposed, certs) -> MinRankBracket:
     return MinRankBracket(lower, upper, lower == upper, transposed, tuple(certs))
 
@@ -200,17 +207,16 @@ def min_rank(
     if trace.pattern.rows <= 1:
         return _bracket(1, 1, transposed, [Certificate("condensation", trace)])
 
-    try:
-        cert2 = mr_le_2(working, budget_ms=budget_ms)
-    except BudgetExceededError:
-        cap, matching = max_rank_matching(working)
-        return _bracket(2, min(d, cap), transposed, [Certificate("matching", matching)])
+    cert2 = mr_le_2(working)
     if cert2 is not None:
         realization = realize_rank2(working, cert2)
         return _bracket(
             2, 2, transposed,
             [Certificate("rank2", cert2), Certificate("realization", realization)],
         )
+    if d > WIDTH_CAP or (budget_ms is None and d > UNBUDGETED_WIDTH_CAP):
+        cap, matching = max_rank_matching(working)
+        return _bracket(3, min(d, cap), transposed, [Certificate("matching", matching)])
 
     full_rank, null_vector = is_L_matrix(working)
     if full_rank:

@@ -2,8 +2,8 @@
 
 Three related pieces live here:
 
-* the polynomial test for minimum rank exactly 2, via condensation plus a
-  signature/column-order search for simultaneous row monotonicity;
+* the polynomial test for minimum rank exactly 2, via condensation plus
+  one column signature and one column order making every row monotone;
 * a constructive rational rank-2 realization for every certificate the
   test produces;
 * the space of combinatorial types of 2-dimensional subspaces of R^n
@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, DimensionError, InternalCheckError
@@ -64,11 +63,6 @@ __all__ = [
     "sign_set_of_type",
     "type_sign_sets",
 ]
-
-# Width of the signature/permutation search beyond which an explicit
-# wall-clock budget is required; the search is exponential in columns.
-UNBUDGETED_WIDTH_CAP = 12
-
 
 @dataclass(frozen=True)
 class Rank2Type:
@@ -522,16 +516,16 @@ def _chain_order(cond: SignPattern, signature: tuple[int, ...]) -> Optional[tupl
     return order
 
 
-def mr_le_2(pattern: SignPattern, budget_ms: int | None = None) -> Optional[Mr2Certificate]:
+def mr_le_2(pattern: SignPattern) -> Optional[Mr2Certificate]:
     """Certificate iff the pattern has minimum rank exactly 2.
 
     Patterns of minimum rank <= 1 (condensation empty or 1x1) never get a
-    certificate. Column signatures are enumerated (first column pinned +,
-    the rest covered through row flips and order reversal); for each one
-    the simultaneous per-row monotonicity question is the polynomial
-    parity system of _chain_order. A condensed pattern with more rows
-    than twice its columns can never have minimum rank 2, so it is
-    rejected up front.
+    certificate. The column signature is the first condensed row's signs,
+    + at its zero (a row has at most one), scaled so column 0 is +: flip
+    each column v_j of a rank-2 realization by the sign of r_1 . v_j, and
+    all lie in the half-plane r_1 . x >= 0, at most one on its boundary.
+    Sorted by angle, each row then changes sign at most once, so every
+    signed row is monotone, which is what _chain_order decides.
     """
     trace = condense_with_trace(pattern)
     cond = trace.pattern
@@ -541,21 +535,10 @@ def mr_le_2(pattern: SignPattern, budget_ms: int | None = None) -> Optional[Mr2C
     for r in cond.row_vectors:
         if nc - r.support_size() > 1:
             return None
-    if cond.rows > 2 * nc:
-        return None
-    if budget_ms is None and nc > UNBUDGETED_WIDTH_CAP:
-        raise BudgetExceededError(
-            f"condensed width {nc} exceeds the unbudgeted cap {UNBUDGETED_WIDTH_CAP}; pass budget_ms"
-        )
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    for counter, tail in enumerate(product((1, -1), repeat=nc - 1)):
-        if deadline is not None and counter % 64 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError("signature search ran out of budget")
-        signature = (1,) + tail
-        order = _chain_order(cond, signature)
-        if order is not None:
-            return Mr2Certificate(signature, order, trace)
-    return None
+    first = [s or 1 for s in cond.row_vectors[0]]
+    signature = tuple(s * first[0] for s in first)
+    order = _chain_order(cond, signature)
+    return None if order is None else Mr2Certificate(signature, order, trace)
 
 
 def realize_rank2(pattern: SignPattern, cert: Mr2Certificate) -> RationalMatrix:

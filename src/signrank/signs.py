@@ -497,6 +497,8 @@ def set_perp(vectors, n: int | None = None) -> SignVectorSet:
     subset tables for n <= 8; longer vectors rebuild their P_i / N_i per call.
     """
     if isinstance(vectors, SignVectorSet):
+        if n is not None and n != vectors.n:
+            raise DimensionError(f"sign vectors of length {vectors.n} against ambient length {n}")
         n = vectors.n
     else:
         vectors = list(vectors)

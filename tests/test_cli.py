@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, file round-trips, exit codes."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from signrank.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
+from signrank.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, main
 from signrank.rational import RationalMatrix
 from signrank.signs import SignPattern, sign_of
 
@@ -308,3 +311,22 @@ class TestDeterminism:
             _, out, _ = run(capsys, ["mr", path, "--json", "--seed", "0"])
             outputs.add(out)
         assert len(outputs) == 1
+
+
+class TestReadme:
+    def test_command_line_block_lists_every_flag(self):
+        # the README's usage block and the parser name the same -- flags
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = {}
+        for line in block.splitlines():
+            words = line.split()
+            documented[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        parsed = {
+            name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert documented == parsed

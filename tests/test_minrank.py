@@ -106,6 +106,39 @@ class TestDenseFourteen:
         assert [c.kind for c in bracket.certificates] == ["null-vector", "rank2-type"]
 
 
+class TestWidthPolicy:
+    # past the rank-2 rung, d > 16, or d > 12 without a budget, brackets at once
+    @pytest.fixture
+    def l_matrix_calls(self, monkeypatch):
+        calls = []
+        original = signrank.minrank.is_L_matrix
+
+        def recording(pattern):
+            calls.append(pattern.cols)
+            return original(pattern)
+
+        monkeypatch.setattr(signrank.minrank, "is_L_matrix", recording)
+        return calls
+
+    @staticmethod
+    def dense(d, seed):
+        rng = Random(seed)
+        return SignPattern.from_grid([[rng.choice((-1, 0, 1)) for _ in range(d)] for _ in range(d)])
+
+    def test_seventeen_columns_skip_the_l_matrix_rung(self, l_matrix_calls):
+        bracket = min_rank(self.dense(17, 17), budget_ms=1000)
+        assert l_matrix_calls == []
+        assert bracket.lower == 3 and bracket.upper <= 17
+        assert [c.kind for c in bracket.certificates] == ["matching"]
+
+    def test_thirteen_columns_need_a_budget(self, l_matrix_calls):
+        pattern = self.dense(13, 13)
+        min_rank(pattern)
+        assert l_matrix_calls == []
+        min_rank(pattern, budget_ms=1000)
+        assert l_matrix_calls == [13]
+
+
 class TestMrLeNMinus2:
     def test_wide_zero_heavy_row(self):
         t = mr_le_n_minus_2(SignPattern.from_strings(["00++"]))

@@ -40,6 +40,42 @@ def t1t2(n):
     return t1t2_pattern(n)
 
 
+def reference_mr_le_2(pattern):
+    """The signature search that mr_le_2 ran before it read one signature
+    off the first condensed row, kept as the reference: every signature
+    with column 0 pinned +, _chain_order on each."""
+    trace = rank2.condense_with_trace(pattern)
+    cond = trace.pattern
+    if cond.rows < 2 or any(cond.cols - r.support_size() > 1 for r in cond.row_vectors):
+        return None
+    for tail in product((1, -1), repeat=cond.cols - 1):
+        order = rank2._chain_order(cond, (1,) + tail)
+        if order is not None:
+            return rank2.Mr2Certificate((1,) + tail, order, trace)
+    return None
+
+
+def planted_grid(rng, m, n):
+    """sign(U V) for integer U (m x 2) and V (2 x n) with entries in -3..3."""
+    u = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(m)]
+    v = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+    return [[(a * x + b * y > 0) - (a * x + b * y < 0) for x, y in v] for a, b in u]
+
+
+def planted_wide(rng, n):
+    """A rank-2 n x n sign grid that condenses to n x n: the rows' zero
+    lines and the columns alternate in slope order, then rows and columns
+    are shuffled and randomly negated."""
+    slopes = sorted(rng.sample(range(-1000, 1000), 2 * n))
+    rows = [(-s, 1, rng.choice((-1, 1))) for s in slopes[0::2]]
+    cols = [(1, s, rng.choice((-1, 1))) for s in slopes[1::2]]
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [
+        [r * c * (1 if a * x + b * y > 0 else -1) for x, y, c in cols] for a, b, r in rows
+    ]
+
+
 class TestMrLe2:
     def test_two_row_example(self):
         assert mr_le_2(SignPattern.from_strings(["+++", "0++"])) is not None
@@ -63,18 +99,41 @@ class TestMrLe2:
         realization = realize_rank2(pattern, cert)
         assert rank(realization) == 2 and sign_of(realization) == pattern
 
-    def test_wide_pattern_needs_budget(self):
-        rng = Random(3)
-        rows = [[rng.choice((-1, 1)) for _ in range(13)] for _ in range(3)]
-        pattern = SignPattern.from_grid(rows)
-        if condense(pattern).cols > 12:
-            with pytest.raises(BudgetExceededError):
-                mr_le_2(pattern)
-            # with a budget it either answers or runs out, both acceptable
-            try:
-                mr_le_2(pattern, budget_ms=2000)
-            except BudgetExceededError:
-                pass
+    def test_wide_planted_pattern_decides_without_budget(self):
+        pattern = SignPattern.from_grid(planted_wide(Random(20), 20))
+        cond = condense(pattern)
+        assert (cond.rows, cond.cols) == (20, 20)
+        start = time.perf_counter()
+        cert = mr_le_2(pattern)
+        realization = realize_rank2(pattern, cert)
+        assert time.perf_counter() - start < 1
+        assert rank(realization) == 2 and sign_of(realization) == pattern
+        grid = [list(r.signs()) for r in pattern.row_vectors]
+        grid[5][7] = -grid[5][7]
+        start = time.perf_counter()
+        assert mr_le_2(SignPattern.from_grid(grid)) is None
+        assert time.perf_counter() - start < 1
+
+    def test_agrees_with_the_signature_search(self):
+        # one signature read off the first condensed row decides what the
+        # search over every signature decides; each certificate realizes
+        rng = Random(11)
+        patterns = []
+        for _ in range(1000):
+            m, n = rng.randint(2, 7), rng.randint(2, 7)
+            patterns.append([[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(m)])
+        planted = [planted_grid(rng, rng.randint(2, 11), rng.randint(2, 11)) for _ in range(500)]
+        for grid in planted:
+            changed = [row[:] for row in grid]
+            i, j = rng.randrange(len(grid)), rng.randrange(len(grid[0]))
+            changed[i][j] = rng.choice([s for s in (-1, 0, 1) if s != grid[i][j]])
+            patterns += [grid, changed]
+        for grid in patterns:
+            pattern = SignPattern.from_grid(grid)
+            cert = mr_le_2(pattern)
+            assert (cert is None) == (reference_mr_le_2(pattern) is None)
+            if cert is not None:
+                realize_rank2(pattern, cert)
 
     def test_agrees_with_exhaustive_flip_search(self):
         # independent slow oracle: try every row-flip/column-sign choice and

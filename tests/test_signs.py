@@ -391,6 +391,14 @@ class TestSetPerp:
         with pytest.raises(DimensionError):
             set_perp(mixed)
 
+    def test_set_of_another_length_rejected(self):
+        members = [SignVector.from_string("+-0"), SignVector.from_string("0++")]
+        with pytest.raises(DimensionError):
+            set_perp(members, n=5)
+        with pytest.raises(DimensionError):
+            set_perp(SignVectorSet(3, members), n=5)
+        assert set_perp(SignVectorSet(3, members), n=3) == set_perp(members, n=3)
+
 
 class TestCondense:
     def test_duplicate_row_then_column(self):
