@@ -218,7 +218,7 @@ def _cmd_realize2(args) -> int:
             _emit_json({"status": "no-certificate"})
         else:
             print("no rank-2 certificate: minimum rank is not 2")
-        return EXIT_INCONCLUSIVE
+        return EXIT_OK
     matrix = rank2.realize_rank2(pattern, cert)
     if args.out:
         _write_matrix(args.out, matrix)

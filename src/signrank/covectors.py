@@ -7,25 +7,33 @@ minimal-support sign vectors, come from the (k-1)-row submatrices: the
 signed maximal minors of such a (k-1) x k block of D B, computed by
 Bareiss elimination, span its null space. The full set is the closure of
 the cocircuits under sign-vector composition (u then v fills the zeros of
-u with v), since every covector is a composition of cocircuits. The
-closure works breadth first; for each zero set z of a vector u it caches
-the distinct nonzero restrictions of the generators to z, so u is
-composed only with generators that give something new.
+u with v), since every covector is a composition of cocircuits (Bjorner,
+Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 3.7).
 
-Every enumerated sign vector carries an exact integer witness x with
-sign(Bx) equal to it, chosen so that (x, Bx) is a primitive integer
-vector. Witnesses are built along the same closure by adding a positive
-step of the generator, chosen by cross-multiplication so that every
-nonzero coordinate keeps its sign; no feasibility solve is needed per
-vector.
+The closure is sign-only. It works breadth first over packed (pos, neg)
+masks and canonical indices (`SignVector.sort_key`): base-3 digits on
+disjoint supports add, so the index of u then g is the index of u plus
+that of g restricted to the zeros of u. For each zero set z it caches the
+distinct nonzero restrictions of the generators to z, so u is composed
+only with generators that give something new. Each new vector records
+only the vector and the generator that first reached it, and the indices
+go straight into a bits-backed SignVectorSet.
+
+Witnesses are replayed on first read. `SubspaceSignReport.witnesses`
+walks that record in closure order and gives every sign vector an exact
+integer witness x with sign(Bx) equal to it, chosen so that (x, Bx) is a
+primitive integer vector: the parent's witness plus a positive step of
+the generator, chosen by cross-multiplication so that every nonzero
+coordinate keeps its sign. No feasibility solve is needed per vector,
+and a caller that reads only signs or sizes does no witness arithmetic.
 
 Membership queries go the other way: member_witness reduces sign(Bx) = s
 to an exact strict-feasibility system, independently of the enumeration.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from random import Random
@@ -39,7 +47,7 @@ from .rational import (
     orth_complement,
     strict_feasibility,
 )
-from .signs import SignVector, SignVectorSet, set_perp, sign_of_vector
+from .signs import SignVector, SignVectorSet, canonical_index, set_perp, sign_of_vector
 
 __all__ = [
     "SubspaceSignReport",
@@ -51,18 +59,31 @@ __all__ = [
     "random_subspace",
 ]
 
+# sign(L) is kept as 3^n bits over the canonical index while that costs at
+# most this many bits per member, well under the hundred-odd bytes of
+# objects a member of a vector-backed set costs; a sparser set (a line in a
+# long ambient space, say) stays vector-backed and never allocates 3^n bits.
+_BITS_PER_MEMBER = 256
+
 
 @dataclass(frozen=True)
 class SubspaceSignReport:
-    """sign(L) together with one integer witness per sign vector.
+    """sign(L), with one integer witness per sign vector built on first read.
 
-    witnesses[s] is a coefficient vector x (in terms of the basis columns)
-    with sign(basis . x) = s, scaled to primitive integers.
+    `sign_vectors` closes over signs alone and records how it reached each
+    vector. `witnesses` replays the witness steps along that record the
+    first time it is read and keeps the result: witnesses[s] is a
+    coefficient vector x (in terms of the basis columns) with
+    sign(basis . x) = s, scaled to primitive integers, in closure order.
     """
 
     subspace: RationalSubspace
     signs: SignVectorSet
-    witnesses: dict[SignVector, tuple[int, ...]]
+    # the record: (coeff, image) of each generator, and (pos, neg, canonical
+    # index, parent, generator) of each nonzero vector in the order the
+    # closure reached it; parent indexes the steps, -1 for a generator itself
+    _generators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(repr=False)
+    _steps: tuple[tuple[int, int, int, int, int], ...] = field(repr=False)
 
     def __post_init__(self):
         if len(self.signs) % 2 != 1:
@@ -71,8 +92,23 @@ class SubspaceSignReport:
             raise InternalCheckError("sign set misses the zero vector")
         if not self.signs.is_negation_closed():
             raise InternalCheckError("sign set is not closed under negation")
-        if len(self.witnesses) != len(self.signs) or not all(s in self.signs for s in self.witnesses):
+
+    @cached_property
+    def witnesses(self) -> dict[SignVector, tuple[int, ...]]:
+        n, k = self.subspace.ambient_dim, self.subspace.dim
+        witnesses = {SignVector.zero(n): (0,) * k}
+        built = []
+        for p, q, _, parent, gen in self._steps:
+            coeff, img = self._generators[gen]
+            if parent >= 0:
+                coeff, img = _compose_witness(*built[parent], coeff, img)
+            built.append((coeff, img))
+            if _pack_signs(img) != (p, q):
+                raise InternalCheckError("witness image does not match its sign vector")
+            witnesses[SignVector(n, p, q)] = coeff
+        if len(witnesses) != len(self.signs) or not all(s in self.signs for s in witnesses):
             raise InternalCheckError("witness map does not cover the sign set")
+        return witnesses
 
     def verify_witnesses(self) -> bool:
         """Recompute sign(B x) for every witness; exact, for tests."""
@@ -162,52 +198,56 @@ def _compose_witness(
 
 
 def sign_vectors(subspace: RationalSubspace) -> SubspaceSignReport:
-    """The exact set {sign(v) : v in L}, each vector with an integer witness."""
+    """The exact set {sign(v) : v in L}; each vector's integer witness is
+    built when the report's `witnesses` is first read."""
     n = subspace.ambient_dim
-    k = subspace.dim
-    zero_key = (0, 0)
-    zero_witness = (tuple(0 for _ in range(k)), tuple(0 for _ in range(n)))
-    known: dict[tuple[int, int], tuple[tuple, tuple]] = {zero_key: zero_witness}
-    if k > 0:
-        gens = _cocircuit_candidates(subspace.basis)
+    gens = []
+    if subspace.dim > 0:
         # deterministic order: canonical order of the packed sign vectors
-        gens.sort(key=lambda g: SignVector(n, g[0], g[1]).sort_key())
-        # the candidates are distinct and nonzero, so each seeds the queue
-        known.update(((p, q), (coeff, img)) for p, q, coeff, img in gens)
-        queue = deque((p, q) for p, q, _, _ in gens)
-        full = (1 << n) - 1
-        # zero set of u -> generators whose restrictions to it are distinct
-        # and nonzero, each the first in generator order; composing u with any
-        # other generator gives u itself or a vector the first one already gave
-        restrictions: dict[int, list] = {}
-        while queue:
-            u = queue.popleft()
-            up, uq = u
-            u_coeff, u_img = known[u]
-            zeros = full & ~(up | uq)
-            moves = restrictions.get(zeros)
-            if moves is None:
-                moves = []
-                seen = set()
-                for g in gens:
-                    r = (g[0] & zeros, g[1] & zeros)
-                    if r != zero_key and r not in seen:
-                        seen.add(r)
-                        moves.append(g)
-                restrictions[zeros] = moves
-            for gp, gq, g_coeff, g_img in moves:
-                w = (up | (gp & zeros), uq | (gq & zeros))
-                if w in known:
-                    continue
-                known[w] = _compose_witness(u_coeff, u_img, g_coeff, g_img)
-                queue.append(w)
+        gens = sorted(
+            (canonical_index(n, p, q), p, q, coeff, img)
+            for p, q, coeff, img in _cocircuit_candidates(subspace.basis)
+        )
+    # the candidates are distinct and nonzero, so each seeds the queue; the
+    # queue is the record itself, read in order while it grows
+    steps = [(p, q, key, -1, j) for j, (key, p, q, _, _) in enumerate(gens)]
+    seen = {0}
+    seen.update(key for key, *_ in gens)
+    full = (1 << n) - 1
+    # zero set of u -> restrictions of the generators to it that are distinct
+    # and nonzero, each from the first generator in order that gives it;
+    # composing u with any other generator gives u itself or a vector the
+    # first one already gave
+    restrictions: dict[int, list] = {}
+    for i, (up, uq, ukey, _, _) in enumerate(steps):
+        zeros = full & ~(up | uq)
+        moves = restrictions.get(zeros)
+        if moves is None:
+            moves = []
+            found = set()
+            for j, (_, gp, gq, _, _) in enumerate(gens):
+                rp, rq = gp & zeros, gq & zeros
+                if (rp or rq) and (rp, rq) not in found:
+                    found.add((rp, rq))
+                    moves.append((rp, rq, canonical_index(n, rp, rq), j))
+            restrictions[zeros] = moves
+        for rp, rq, rkey, j in moves:
+            # base-3 digits on disjoint supports add: key(u o g) = key(u) + key(r)
+            wkey = ukey + rkey
+            if wkey not in seen:
+                seen.add(wkey)
+                steps.append((up | rp, uq | rq, wkey, i, j))
 
-    witnesses = {}
-    for (p, q), (coeff, img) in known.items():
-        if _pack_signs(img) != (p, q):
-            raise InternalCheckError("witness image does not match its sign vector")
-        witnesses[SignVector(n, p, q)] = coeff
-    return SubspaceSignReport(subspace, SignVectorSet(n, witnesses.keys()), witnesses)
+    if 3**n <= _BITS_PER_MEMBER * len(seen):
+        signs = SignVectorSet.from_indices(n, seen)
+    else:
+        signs = SignVectorSet(n, [SignVector.zero(n)] + [SignVector(n, p, q) for p, q, *_ in steps])
+    return SubspaceSignReport(
+        subspace,
+        signs,
+        tuple((coeff, img) for *_, coeff, img in gens),
+        tuple(steps),
+    )
 
 
 def member_witness(

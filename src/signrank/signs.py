@@ -12,10 +12,12 @@ canonical index of the vector among all 3^n.
 / - at coordinate i) turn each member's orthogonality test into a few
 big-int operations. A SignVectorSet is either built from vectors (a
 sorted tuple and a frozenset, no 3^n allocation, however long the
-vectors) or holds the 3^n bits that `set_perp` produced and decodes its
-members lazily, in canonical order, by base-3 arithmetic. 3^n-bit ints
-live only in `set_perp`, its result, its subset tables (n <= 8) and a
-vector-built set compared with such a result; no coordinate mask is cached.
+vectors) or holds 3^n bits, from `set_perp` or from the canonical indices
+of its members (`SignVectorSet.from_indices`), and decodes its members
+lazily, in canonical order, by base-3 arithmetic. 3^n-bit ints live only
+in `set_perp`, the bits-backed sets, the subset tables (n <= 8) and a
+vector-built set compared with a bits-backed one; no coordinate mask is
+cached.
 """
 
 from dataclasses import dataclass
@@ -39,6 +41,7 @@ __all__ = [
     "SignPattern",
     "SignVectorSet",
     "CondensationTrace",
+    "canonical_index",
     "sign_of",
     "sign_of_vector",
     "orthogonal",
@@ -61,6 +64,16 @@ def _sort_key_tables(n: int) -> tuple[tuple[int, ...], ...]:
             tuple(sum(w for t, w in enumerate(weights) if b >> t & 1) for b in range(256))
         )
     return tuple(tables)
+
+
+def canonical_index(n: int, pos: int, neg: int) -> int:
+    """`SignVector(n, pos, neg).sort_key()`, without building the vector."""
+    key = 0
+    for table in _sort_key_tables(n):
+        key += table[pos & 0xFF] + 2 * table[neg & 0xFF]
+        pos >>= 8
+        neg >>= 8
+    return key
 
 
 class SignVector:
@@ -138,13 +151,7 @@ class SignVector:
     def sort_key(self) -> int:
         """The base-3 number whose digits, coordinate 0 first, are 0, 1, 2
         for 0, +, -; it orders vectors canonically."""
-        pos, neg = self.pos, self.neg
-        key = 0
-        for table in _sort_key_tables(self.n):
-            key += table[pos & 0xFF] + 2 * table[neg & 0xFF]
-            pos >>= 8
-            neg >>= 8
-        return key
+        return canonical_index(self.n, self.pos, self.neg)
 
     def to_string(self) -> str:
         return "".join(_CHAR_FOR_SIGN[s] for s in self)
@@ -290,12 +297,12 @@ class SignVectorSet:
 
     A set has one of two sources and the same behaviour either way. Built
     from vectors, it keeps them as a sorted tuple plus a frozenset and
-    never allocates 3^n bits. Built by `set_perp`, it keeps the kernel's
-    3^n-bit int (bit k set iff the vector whose `sort_key` is k is a
-    member) and decodes members lazily, in canonical order, as they are
-    iterated; `len`, `in`, `contains_zero` and `==` read the bits. A
-    vector-backed set compared with a bits-backed one of the same length
-    derives (and keeps) its own bits.
+    never allocates 3^n bits. Built by `set_perp` or `from_indices`, it
+    keeps a 3^n-bit int (bit k set iff the vector whose `sort_key` is k is
+    a member) and decodes members lazily, in canonical order, as they are
+    iterated; `len`, `in`, `contains_zero`, `is_negation_closed` and `==`
+    read the bits. A vector-backed set compared with a bits-backed one of
+    the same length derives (and keeps) its own bits.
     """
 
     __slots__ = ("n", "_vectors", "_lookup", "_bits")
@@ -322,14 +329,16 @@ class SignVectorSet:
     def __setattr__(self, name, value):
         raise AttributeError("SignVectorSet is immutable")
 
+    @classmethod
+    def from_indices(cls, n: int, indices: Iterable[int]) -> "SignVectorSet":
+        """The bits-backed set of the length-n vectors with the given
+        canonical indices (`SignVector.sort_key`); allocates 3^n bits."""
+        return cls._from_bits(n, _index_bits(n, indices))
+
     def _bitset(self) -> int:
         """The members as a 3^n-bit int, derived once for a vector-backed set."""
         if self._bits is None:
-            index = bytearray((3**self.n + 7) // 8)
-            for v in self._vectors:
-                k = v.sort_key()
-                index[k >> 3] |= 1 << (k & 7)
-            object.__setattr__(self, "_bits", int.from_bytes(index, "little"))
+            object.__setattr__(self, "_bits", _index_bits(self.n, (v.sort_key() for v in self._vectors)))
         return self._bits
 
     @property
@@ -364,8 +373,9 @@ class SignVectorSet:
         return [v.to_string() for v in self]
 
     def is_negation_closed(self) -> bool:
-        lookup = self if self._lookup is None else self._lookup
-        return all(-v in lookup for v in self)
+        if self._lookup is not None:
+            return all(-v in self._lookup for v in self._vectors)
+        return _negated_bits(self.n, self._bits) == self._bits
 
     def contains_zero(self) -> bool:
         if self._lookup is not None:
@@ -433,6 +443,14 @@ def _iter_index_masks(n: int, bits: int) -> Iterator[tuple[int, int]]:
             word ^= lowest
 
 
+def _index_bits(n: int, indices: Iterable[int]) -> int:
+    """The 3^n-bit int with the given canonical indices set."""
+    index = bytearray((3**n + 7) // 8)
+    for k in indices:
+        index[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(index, "little")
+
+
 def all_sign_vectors(n: int) -> Iterator[SignVector]:
     """All 3^n sign vectors of length n, in canonical order."""
     return (SignVector(n, p, q) for p, q in _iter_index_masks(n, (1 << 3**n) - 1))
@@ -448,6 +466,25 @@ def _tile(block: int, width: int, count: int) -> int:
         block |= block << width
         width *= 2
         count >>= 1
+    return out
+
+
+def _negated_bits(n: int, bits: int) -> int:
+    """The index set of the negations of the members of `bits`: at each
+    coordinate, digit 1 (+) and digit 2 (-) swap blocks of 3^(n-1-i)."""
+    for i, (plus, minus) in enumerate(_coordinate_masks(n)):
+        w = 3 ** (n - 1 - i)
+        bits = bits & ~(plus | minus) | (bits & plus) << w | (bits & minus) >> w
+    return bits
+
+
+def _first_plus_bits(n: int) -> int:
+    """The indices whose first nonzero digit is 1 (+): [3^j, 2 * 3^j) for
+    j < n, the vectors that are 0 before coordinate n-1-j and + at it."""
+    out = 0
+    for j in range(n):
+        w = 3**j
+        out |= ((1 << w) - 1) << w
     return out
 
 
@@ -493,13 +530,22 @@ def set_perp(vectors, n: int | None = None) -> SignVectorSet:
     costs a few big-int operations, whatever the size of the result. Up
     to length 8 the ORs come from a table over all supports. The result
     is bits-backed and decodes lazily, so a caller that reads one member
-    decodes one. 3^n-bit ints live only here, in that result and in the
+    decodes one. A bits-backed input is read as (pos, neg) pairs straight
+    from its bits, without a SignVector per member, and one member of each
+    +/- pair. 3^n-bit ints live only here, in that result and in the
     subset tables for n <= 8; longer vectors rebuild their P_i / N_i per call.
     """
     if isinstance(vectors, SignVectorSet):
         if n is not None and n != vectors.n:
             raise DimensionError(f"sign vectors of length {vectors.n} against ambient length {n}")
         n = vectors.n
+        if vectors._lookup is None:
+            # a candidate is orthogonal to x iff it is to -x, and to 0 always:
+            # of each +/- pair, the member whose first nonzero entry is + will do
+            bits = vectors._bits
+            members = _iter_index_masks(n, (bits | _negated_bits(n, bits)) & _first_plus_bits(n))
+        else:
+            members = ((v.pos, v.neg) for v in vectors._vectors)
     else:
         vectors = list(vectors)
         if n is None:
@@ -509,16 +555,15 @@ def set_perp(vectors, n: int | None = None) -> SignVectorSet:
         for v in vectors:
             if v.n != n:
                 raise DimensionError(f"sign vector of length {v.n} against ambient length {n}")
+        members = ((v.pos, v.neg) for v in vectors)
     bad = 0  # candidates not orthogonal to some member
     if n <= _SUBSET_WIDTH:
         plus, minus = _subset_masks(n)
-        for v in vectors:
-            xp, xn = v.pos, v.neg
+        for xp, xn in members:
             bad |= (plus[xp] | minus[xn]) ^ (minus[xp] | plus[xn])
     else:
         masks = _coordinate_masks(n)
-        for v in vectors:
-            xp, xn = v.pos, v.neg
+        for xp, xn in members:
             agree = oppose = 0
             for i, (p, q) in enumerate(masks):
                 if xp >> i & 1:

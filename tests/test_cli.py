@@ -4,12 +4,14 @@ import argparse
 import json
 import re
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from signrank.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, main
-from signrank.rational import RationalMatrix
+from signrank.rational import RationalMatrix, RationalSubspace
 from signrank.signs import SignPattern, sign_of
+from test_covectors import reference_sign_vectors
 
 
 @pytest.fixture
@@ -74,6 +76,21 @@ class TestSigns:
         payload = json.loads(out)
         assert payload["count"] == 13 and payload["dim"] == 2
         assert len(payload["witnesses"]) == 13
+
+    def test_json_witnesses_equal_the_reference_closure(self, capsys, write):
+        # the witnesses object, key order included, is what the reference
+        # enumerator's witnesses give under the JSON encoder
+        rng = Random(13)
+        rows = [" ".join(str(rng.randint(-4, 4)) for _ in range(3)) for _ in range(6)]
+        path = write("basis.mat", "\n".join(rows) + "\n")
+        code, out, _ = run(capsys, ["signs", path, "--json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        columns = RationalMatrix.parse(Path(path).read_text()).columns()
+        space = RationalSubspace.from_spanning(6, list(columns))
+        _, witnesses = reference_sign_vectors(space)
+        expected = {sv.to_string(): list(coeff) for sv, coeff in witnesses}
+        assert json.dumps(payload["witnesses"]) == json.dumps(expected, sort_keys=True)
 
     def test_witnesses_reverify_against_reported_basis(self, capsys, write):
         path = write("basis.mat", "1 0\n1 1\n1 2\n")
@@ -195,10 +212,12 @@ class TestRealize2:
         assert out == encode(json.loads(out))
         assert cert_path.read_text() == encode({"schema": 1, **json.loads(out)["certificate"]})
 
-    def test_no_certificate_inconclusive_exit(self, capsys, write):
+    def test_no_certificate_definitive_exit(self, capsys, write):
+        # no certificate decides that the minimum rank is not 2: exit 0
         path = write("id.sp", "+00\n0+0\n00+\n")
-        code, out, _ = run(capsys, ["realize2", path])
-        assert code == EXIT_INCONCLUSIVE
+        code, out, _ = run(capsys, ["realize2", path, "--json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["status"] == "no-certificate"
 
 
 class TestRealizeNm2:

@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from signrank import covectors
 from signrank.covectors import (
     member_witness,
     random_subspace,
@@ -242,6 +243,29 @@ class TestSignVectors:
                 assert count <= 4 * n + 1
             if k == n - 1:
                 assert count <= 3**n - 2 * (2**n - 1)
+
+
+class TestSignOnlyCallers:
+    def test_build_no_witness(self, monkeypatch):
+        # the closure is sign-only; witnesses are replayed only when read
+        def forbidden(*args):
+            raise AssertionError("a sign-only caller composed a witness")
+
+        rng = Random(83)
+        spaces = [random_subspace(n, k, rng) for n in range(1, 8) for k in range(n + 1)]
+        reports = []
+        with monkeypatch.context() as patch:
+            patch.setattr(covectors, "_compose_witness", forbidden)
+            for space in spaces:
+                assert verify_duality(space).ok
+                assert same_sign_dim_check(space, space)
+                report = sign_vectors(space)
+                assert len(report.signs) >= 3**space.dim
+                reports.append(report)
+        for space, report in zip(spaces, reports):
+            vectors, witnesses = reference_sign_vectors(space)
+            assert list(report.signs.vectors) == vectors
+            assert list(report.witnesses.items()) == witnesses
 
 
 class TestMemberWitness:

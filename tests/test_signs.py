@@ -221,13 +221,16 @@ class TestSetPerpAgainstReference:
             expected = list(reference_set_perp(members, n))
             assert list(set_perp(members, n=n)) == expected
             assert list(set_perp(SignVectorSet(n, members))) == expected
+            assert list(set_perp(indexed(n, members))) == expected
             sizes.add(len(expected))
         assert len(sizes) > 50
 
     def test_seeded_sets_on_the_coordinate_path(self):
         # lengths above the subset tables OR the per-coordinate masks
         for n, members in seeded_member_lists(82, (9, 10), 3):
-            assert list(set_perp(members, n=n)) == list(reference_set_perp(members, n))
+            expected = list(reference_set_perp(members, n))
+            assert list(set_perp(members, n=n)) == expected
+            assert list(set_perp(indexed(n, members))) == expected
 
     def test_coordinate_and_uncached_paths(self, monkeypatch):
         # no subset table: every length takes the per-call coordinate masks
@@ -250,8 +253,9 @@ class TestSetPerpAgainstReference:
         assert len(names) == 36
 
 
-def bits_of(model):
-    return sum(1 << v.sort_key() for v in model)
+def indexed(n, members):
+    """The bits-backed set of the members, from their canonical indices."""
+    return SignVectorSet.from_indices(n, [v.sort_key() for v in members])
 
 
 def model_sets(seed):
@@ -267,7 +271,7 @@ def model_sets(seed):
 
 
 def both_sources(n, model):
-    return SignVectorSet(n, model), SignVectorSet._from_bits(n, bits_of(model))
+    return SignVectorSet(n, model), indexed(n, model)
 
 
 class TestSignVectorSetSources:
