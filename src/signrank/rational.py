@@ -52,7 +52,7 @@ def format_rational(value: Fraction) -> str:
 class RationalMatrix:
     """Immutable dense matrix over the rationals."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         grid = tuple(tuple(Fraction(e) for e in row) for row in data)
@@ -143,7 +143,14 @@ class RationalMatrix:
         return isinstance(other, RationalMatrix) and self.shape == other.shape and self.data == other.data
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.data))
+        # kept after the first call: hashing every Fraction entry would
+        # dominate a cache lookup keyed on the matrix
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.shape, self.data))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rational(e) for e in row) for row in self.data)

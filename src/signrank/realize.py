@@ -6,9 +6,10 @@ most n-2: rank2.find_plane_type finds a 2-dimensional type whose sign set
 is orthogonal to every column (the same search, and so the same first
 hit, that minrank.mr_le_n_minus_2 runs on the transpose); the rational
 orthogonal complement K of the type's plane then realizes each column by
-an exact strict-feasibility witness inside K. Exhausting the finite type
-space without a hit is a definitive negative (minimum rank exceeds n-2),
-distinct from running out of budget.
+an exact witness inside K: member_witness sums the cocircuits of K
+conformal to the column, and builds those cocircuits once for all the
+columns. Exhausting the finite type space without a hit is a definitive
+negative (minimum rank exceeds n-2), distinct from running out of budget.
 
 rationalize_equation lifts this to matrix equations B C = E whose E has
 two columns (or two rows, via transposition): a block pattern with an

@@ -4,6 +4,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -23,7 +24,8 @@ from signrank.rational import (
     nullspace_basis,
     orth_complement,
 )
-from signrank.signs import SignVector, all_sign_vectors, sign_of_vector
+from signrank.realize import realize_corank2
+from signrank.signs import SignPattern, SignVector, all_sign_vectors, sign_of_vector
 
 
 def span(n, *vectors):
@@ -289,7 +291,7 @@ class TestMemberWitness:
             member_witness(span(2, (1, 0)), SignVector.from_string("+"))
 
     def test_agrees_with_enumeration(self):
-        # Fourier-Motzkin decides every one of the 3^n candidates on its own
+        # the conformal cover decides every one of the 3^n candidates on its own
         rng = Random(43)
         for n in range(1, 6):
             for k in range(0, n + 1):
@@ -299,6 +301,72 @@ class TestMemberWitness:
                     for s in all_sign_vectors(n):
                         witness = member_witness(space, s)
                         assert (witness is not None) == (s in enumerated)
+
+
+    def test_large_ambient_dimensions(self):
+        # n = 12..14 is the desk-scale top; planted targets are members and
+        # their witnesses re-verify
+        rng = Random(1214)
+        for n in (12, 13, 14):
+            for k in (3, 5, 7):
+                space = random_subspace(n, k, rng)
+                for _ in range(4):
+                    x = [0] * k
+                    while not any(x):
+                        x = [rng.randint(-3, 3) for _ in range(k)]
+                    target = sign_of_vector(space.basis.apply(x))
+                    witness = member_witness(space, target)
+                    assert witness is not None
+                    assert sign_of_vector(space.basis.apply(witness)) == target
+
+    def test_agrees_with_enumeration_in_r12(self):
+        rng = Random(12)
+        for k in (3, 5):
+            space = random_subspace(12, k, rng)
+            signs = sign_vectors(space).signs
+            targets = [
+                SignVector.from_signs(rng.choice((1, 0, -1)) for _ in range(12)) for _ in range(40)
+            ]
+            targets += [
+                sign_of_vector(space.basis.apply([rng.randint(-3, 3) for _ in range(k)]))
+                for _ in range(40)
+            ]
+            members = 0
+            for s in targets:
+                witness = member_witness(space, s)
+                assert (witness is not None) == (s in signs)
+                if witness is not None:
+                    members += 1
+                    assert sign_of_vector(space.basis.apply(witness)) == s
+            assert 40 <= members < len(targets)
+
+
+class TestCocircuitCache:
+    def test_realize_corank2_builds_the_complement_cocircuits_once(self):
+        corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "witness"
+        pattern = SignPattern.parse((corpus / "real-n7-1.sp").read_text(encoding="utf-8"))
+        covectors._cached_cocircuits.cache_clear()
+        assert realize_corank2(pattern).ok
+        info = covectors._cached_cocircuits.cache_info()
+        assert (info.misses, info.hits) == (1, pattern.cols - 1)
+
+    def test_repeat_query_does_not_rebuild(self):
+        space = random_subspace(6, 3, Random(61))
+        target = sign_of_vector(space.basis.apply([1, 2, -1]))
+        first = member_witness(space, target)
+        before = covectors._cached_cocircuits.cache_info()
+        assert member_witness(space, target) == first
+        # the cache is keyed on the basis by value, not on the subspace object
+        same_basis = RationalSubspace(6, RationalMatrix(space.basis.data))
+        assert member_witness(same_basis, -target) is not None
+        after = covectors._cached_cocircuits.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+
+    def test_zero_vector_and_zero_subspace(self):
+        space = random_subspace(4, 2, Random(67))
+        assert member_witness(space, SignVector.zero(4)) == (Fraction(0), Fraction(0))
+        assert member_witness(RationalSubspace.zero(4), SignVector.zero(4)) == ()
+        assert member_witness(RationalSubspace.zero(4), SignVector.from_string("+000")) is None
 
 
 class TestVerifyDuality:

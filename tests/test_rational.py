@@ -566,16 +566,13 @@ class TestStrictFeasibilityAgainstReference:
             rng.shuffle(positives)
             assert_same_as_reference([], positives)
 
-    def test_member_witness_systems_in_r8(self, monkeypatch):
-        systems = []
-
-        def recording(equalities, positives):
-            systems.append((list(equalities), list(positives)))
-            return strict_feasibility(equalities, positives)
-
-        monkeypatch.setattr(covectors, "strict_feasibility", recording)
+    def test_member_witness_systems_in_r8(self):
+        # the systems member_witness once solved by Fourier-Motzkin: equality
+        # rows where the target is 0, rows negated where it is -; conformal
+        # membership must decide each one alike
         rng = Random(8)
         n = 8
+        systems = []
         hits = 0
         for k in (3, 4, 5):
             for _ in range(2):
@@ -593,10 +590,19 @@ class TestStrictFeasibilityAgainstReference:
                         target = sign_of_vector(basis.apply(x))
                     else:
                         target = SignVector.from_signs(rng.choice((1, 0, -1)) for _ in range(n))
-                    hits += covectors.member_witness(space, target) is not None
+                    equalities = [basis.row(i) for i in range(n) if target[i] == 0]
+                    positives = [
+                        tuple(target[i] * e for e in basis.row(i)) for i in range(n) if target[i]
+                    ]
+                    witness = covectors.member_witness(space, target)
+                    if witness is not None:
+                        assert sign_of_vector(basis.apply(witness)) == target
+                    systems.append((equalities, positives, witness))
+                    hits += witness is not None
         assert len(systems) >= 60 and 0 < hits < len(systems)
-        for equalities, positives in systems:
-            assert_same_as_reference(equalities, positives)
+        for equalities, positives, witness in systems:
+            feasible = assert_same_as_reference(equalities, positives) is not None
+            assert (witness is not None) == feasible
 
 
 class TestSubspace:
