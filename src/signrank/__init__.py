@@ -47,6 +47,11 @@ from .rank2 import (
     sign_set_of_type,
     type_sign_sets,
 )
+from .rank3 import (
+    Rank3Exhausted,
+    Rank3Result,
+    rank3_search,
+)
 from .minrank import (
     Certificate,
     MinRankBracket,

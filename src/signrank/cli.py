@@ -16,7 +16,7 @@ import json
 import sys
 from random import Random
 
-from . import covectors, extremal, minrank, rank2, realize, signs
+from . import covectors, extremal, minrank, rank2, rank3, realize, signs
 from .errors import ParseError, SignRankError
 from .rational import RationalMatrix, RationalSubspace, format_rational
 from .signs import SignPattern, SignVector
@@ -67,7 +67,7 @@ def _plane_type_json(plane_type: rank2.Rank2Type) -> dict:
 
 def _cmd_mr(args) -> int:
     pattern = _read_pattern(args.pattern)
-    bracket = minrank.min_rank(pattern, budget_ms=args.budget_ms, seed=args.seed)
+    bracket = minrank.min_rank(pattern, budget_ms=args.budget_ms)
     cert_payload = []
     for cert in bracket.certificates:
         entry = {"kind": cert.kind}
@@ -81,6 +81,10 @@ def _cmd_mr(args) -> int:
         elif isinstance(payload, rank2.Mr2Certificate):
             entry["signature"] = list(payload.signature)
             entry["column_order"] = list(payload.column_order)
+        elif isinstance(payload, rank3.Rank3Exhausted):
+            # not independently checkable: only a rerun of the search re-verifies it
+            entry["question"] = payload.question
+            entry["nodes"] = payload.nodes
         elif isinstance(payload, tuple):
             entry["pairs"] = [list(p) for p in payload]
         cert_payload.append(entry)
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mr", help="minimum rank bracket with certificates")
     p.add_argument("pattern")
-    common(p, budget=True, seed=True)
+    common(p, budget=True)
     p.set_defaults(func=_cmd_mr)
 
     p = sub.add_parser("signs", help="sign vectors of the column space of a rational matrix")

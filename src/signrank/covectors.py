@@ -32,7 +32,8 @@ when the cocircuits conformal to X (each nonzero coordinate of one agrees
 with X) cover supp(X), since every covector is a conformal composition of
 cocircuits (Bjorner et al. 3.7); the sum of their integer witnesses then
 has image signs X. member_witness reads the cocircuits of a basis from a
-small cache, so repeated queries against one subspace build them once.
+small cache, along with the rows of D B that re-check each witness in
+integers, so repeated queries against one subspace build them once.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
@@ -147,6 +149,14 @@ def _pack_signs(values: Sequence[int]) -> tuple[int, int]:
     return pos, neg
 
 
+def _integer_rows(basis: RationalMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """D, the lcm of B's denominators, and the rows of the integer matrix D B."""
+    scale = lcm(*(e.denominator for row in basis.data for e in row))
+    return scale, tuple(
+        tuple(e.numerator * (scale // e.denominator) for e in row) for row in basis.data
+    )
+
+
 def _cocircuit_candidates(basis: RationalMatrix) -> tuple[tuple[int, int, tuple, tuple], ...]:
     """Sign vectors of B c for c spanning null spaces of (k-1)-row submatrices.
 
@@ -157,8 +167,7 @@ def _cocircuit_candidates(basis: RationalMatrix) -> tuple[tuple[int, int, tuple,
     for the conformal cover.
     """
     n, k = basis.rows, basis.cols
-    scale = lcm(*(e.denominator for row in basis.data for e in row))
-    rows = [tuple(e.numerator * (scale // e.denominator) for e in row) for row in basis.data]
+    scale, rows = _integer_rows(basis)
     found: dict[tuple[int, int], tuple[tuple, tuple]] = {}
     for subset in combinations(range(n), k - 1):
         sub = [rows[i] for i in subset]
@@ -183,7 +192,11 @@ def _cocircuit_candidates(basis: RationalMatrix) -> tuple[tuple[int, int, tuple,
     return tuple((p, q, c, v) for (p, q), (c, v) in found.items())
 
 
-_cached_cocircuits = lru_cache(maxsize=_COCIRCUIT_CACHE_SIZE)(_cocircuit_candidates)
+@lru_cache(maxsize=_COCIRCUIT_CACHE_SIZE)
+def _cached_cocircuits(basis: RationalMatrix) -> tuple[tuple, tuple]:
+    """What member_witness reads of a basis: the rows of D B, for the
+    re-check in integers, and the cocircuits."""
+    return _integer_rows(basis)[1], _cocircuit_candidates(basis)
 
 
 def _compose_witness(
@@ -284,7 +297,8 @@ def member_witness(
     pos, neg = s.pos, s.neg
     covered = 0
     total = [0] * k
-    for p, q, coeff, _ in _cached_cocircuits(subspace.basis):
+    rows, cocircuits = _cached_cocircuits(subspace.basis)
+    for p, q, coeff, _ in cocircuits:
         if p & ~pos or q & ~neg:
             continue
         covered |= p | q
@@ -292,10 +306,11 @@ def member_witness(
     if covered != pos | neg:
         return None
     g = gcd(*total)
-    x = tuple(Fraction(v // g) for v in total)
-    if sign_of_vector(subspace.basis.apply(x)) != s:
+    total = [v // g for v in total]
+    # D B x has the signs of B x: the exact re-check in integers
+    if _pack_signs([sum(map(mul, row, total)) for row in rows]) != (pos, neg):
         raise InternalCheckError("conformal cover does not realize the requested signs")
-    return x
+    return tuple(Fraction(v) for v in total)
 
 
 @dataclass(frozen=True)

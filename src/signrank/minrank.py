@@ -4,16 +4,24 @@ The entry point min_rank runs a decision ladder on the orientation with
 the fewer columns d: zero pattern; condensation collapse (mr <= 1); the
 rank-2 certificate, which needs no budget; past it, [3, term rank] when
 d > WIDTH_CAP, or d > UNBUDGETED_WIDTH_CAP without a budget; the
-L-matrix test (mr = d); the 2-dimensional type search (mr <= d-2); and
-the leftover rung mr = d-1. The ladder is exact whenever it closes the
-gap, which is guaranteed for d <= 5; for d >= 6 a bracket [3, d-2]
-remains, refined by the term rank and by randomized low-rank
-factorization witnesses.
+L-matrix test (mr = d, else a null vector gives mr <= d-1); the rank-3
+chirotope search (rank3.rank3_search), asking whether mr <= 3 (cov)
+and, for 7 <= d <= 8, whether mr <= d-3 (vec); the 2-dimensional type
+search (mr <= d-2), only while that question is open; and the term rank
+as a last upper bound. A rank-3 hit is a re-verified realization; an
+exhausted rank-3 search raises the lower bound past its question. The
+ladder is exact whenever it closes the gap, which is guaranteed for
+d <= 5; a rank-3 hit that cannot be placed, or a budget cut, leaves a
+bracket.
 
-random_upper_bound draws each factorization U V from the stream of
-Random(seed).randint(-3, 3), replayed in batches by lattice_draws, and
-rejects it at the first entry of U V whose sign is wrong, using integer
-dot products; only a hit becomes a RationalMatrix, re-verified by sign_of.
+One deadline covers the whole call: each search receives what the rungs
+before it left of budget_ms.
+
+random_upper_bound, which min_rank no longer calls, draws each
+factorization U V from the stream of Random(seed).randint(-3, 3),
+replayed in batches by lattice_draws, and rejects it at the first entry
+of U V whose sign is wrong, using integer dot products; only a hit
+becomes a RationalMatrix, re-verified by sign_of.
 
 The type search itself lives in rank2.find_plane_type, shared with the
 rank n-2 realization in realize; mr_le_n_minus_2 runs it on the rows.
@@ -27,6 +35,7 @@ from typing import Any, Optional
 
 from .errors import BudgetExceededError, InternalCheckError
 from .rank2 import Rank2Type, find_plane_type, mr_le_2, realize_rank2
+from .rank3 import COV, VEC, rank3_search
 from .rational import RationalMatrix
 from .signs import SignPattern, SignVector, condense_with_trace, max_rank_matching, set_perp, sign_of
 
@@ -184,18 +193,19 @@ def random_upper_bound(
 # The later rungs are exponential in d: is_L_matrix builds 3^d-bit masks.
 WIDTH_CAP = 16
 UNBUDGETED_WIDTH_CAP = 12
+# The widths at which the rank-3 vec search (mr <= d-3) runs: at d = 6 it
+# asks what cov asks, and past d = 8 it rarely finishes.
+VEC_WIDTHS = (7, 8)
 
 
 def _bracket(lower, upper, transposed, certs) -> MinRankBracket:
     return MinRankBracket(lower, upper, lower == upper, transposed, tuple(certs))
 
 
-def min_rank(
-    pattern: SignPattern, budget_ms: int | None = None, seed: int = 0
-) -> MinRankBracket:
+def min_rank(pattern: SignPattern, budget_ms: int | None = None) -> MinRankBracket:
     """Exact minimum rank when the decision ladder closes (always for
-    min(m, n) <= 5 and whenever an early rung fires), else a bracket. The
-    type search receives what the rungs before it left of budget_ms."""
+    min(m, n) <= 5 and whenever an early rung fires), else a bracket. Each
+    search receives what the rungs before it left of budget_ms."""
     start = time.monotonic()
     transposed = pattern.cols > pattern.rows
     working = pattern.transpose() if transposed else pattern
@@ -228,29 +238,41 @@ def min_rank(
     if d == 4:
         return _bracket(3, 3, transposed, certs)
 
-    if budget_ms is not None:
-        budget_ms = max(0, budget_ms - int((time.monotonic() - start) * 1000))
-    try:
-        plane_type = mr_le_n_minus_2(working, budget_ms=budget_ms)
-    except BudgetExceededError:
-        cap, matching = max_rank_matching(working)
-        certs.append(Certificate("matching", matching))
-        return _bracket(3, min(d - 1, cap), transposed, certs)
-    if plane_type is None:
-        return _bracket(d - 1, d - 1, transposed, certs)
-    certs.append(Certificate("rank2-type", plane_type))
-    if d == 5:
-        return _bracket(3, 3, transposed, certs)
+    # one deadline for the whole call: each search receives what is left
+    def remaining() -> int | None:
+        if budget_ms is None:
+            return None
+        return max(0, budget_ms - int((time.monotonic() - start) * 1000))
 
-    upper = d - 2
-    cap, matching = max_rank_matching(working)
-    if cap < upper:
-        upper = cap
-        certs.append(Certificate("matching", matching))
-    for r in range(3, upper):
-        witness = random_upper_bound(working, r, seed=seed)
-        if witness is not None:
-            upper = r
-            certs.append(Certificate("realization", witness))
-            break
-    return _bracket(3, upper, transposed, certs)
+    lower, upper = 3, d - 1
+    questions = [(COV, 3)] + ([(VEC, d - 3)] if VEC_WIDTHS[0] <= d <= VEC_WIDTHS[1] else [])
+    for question, bound in questions:
+        try:
+            found = rank3_search(working, question, budget_ms=remaining())
+        except BudgetExceededError:
+            continue
+        if found.realization is not None:
+            upper = bound
+            certs.append(Certificate("realization", found.realization))
+        elif found.exhausted:
+            lower = max(lower, bound + 1)
+            certs.append(Certificate("rank3-exhausted", found.certificate()))
+        if lower == upper:
+            return _bracket(lower, upper, transposed, certs)
+
+    if lower <= d - 2 < upper:
+        try:
+            plane_type = mr_le_n_minus_2(working, budget_ms=remaining())
+        except BudgetExceededError:
+            pass
+        else:
+            if plane_type is None:
+                return _bracket(d - 1, d - 1, transposed, certs)
+            upper = d - 2
+            certs.append(Certificate("rank2-type", plane_type))
+    if lower < upper:
+        cap, matching = max_rank_matching(working)
+        if cap < upper:
+            upper = cap
+            certs.append(Certificate("matching", matching))
+    return _bracket(lower, upper, transposed, certs)

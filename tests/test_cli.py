@@ -45,6 +45,22 @@ class TestMr:
         assert payload["schema"] == 1
         assert payload["lower"] == payload["upper"] == 3 and payload["exact"]
 
+    def test_rank3_exhaustion_certificate(self, capsys, write):
+        # 5x5 with mr = 4: the rank-3 cov search is exhausted, which closes
+        # the bracket; its certificate carries the question and node count
+        corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "minrank"
+        path = str(corpus / "p00-rand-5x5.sp")
+        code, out, _ = run(capsys, ["mr", path, "--json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["lower"], payload["upper"]) == (4, 4)
+        (cert,) = [c for c in payload["certificates"] if c["kind"] == "rank3-exhausted"]
+        assert cert["question"] == "cov"
+        assert isinstance(cert["nodes"], int) and cert["nodes"] > 0
+        assert set(cert) == {"kind", "question", "nodes"}
+        _, again, _ = run(capsys, ["mr", path, "--json"])
+        assert again == out
+
     def test_parse_error_exit_code(self, capsys, write):
         path = write("bad.sp", "+x\n")
         code, _, err = run(capsys, ["mr", path])
@@ -327,7 +343,7 @@ class TestDeterminism:
         path = write("p.sp", "+-+\n++0\n")
         outputs = set()
         for _ in range(3):
-            _, out, _ = run(capsys, ["mr", path, "--json", "--seed", "0"])
+            _, out, _ = run(capsys, ["mr", path, "--json"])
             outputs.add(out)
         assert len(outputs) == 1
 

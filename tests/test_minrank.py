@@ -85,9 +85,14 @@ class TestIsLMatrix:
             assert all(orthogonal(r, witness) for r in pattern.row_vectors)
 
 
+def dense(n, seed):
+    """An n x n pattern with entries drawn from {-1, 0, 1} by Random(seed)."""
+    rng = Random(seed)
+    return SignPattern.from_grid([[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)])
+
+
 def dense_fourteen():
-    rng = Random(14)
-    return SignPattern.from_grid([[rng.choice((-1, 0, 1)) for _ in range(14)] for _ in range(14)])
+    return dense(14, 14)
 
 
 class TestDenseFourteen:
@@ -102,8 +107,10 @@ class TestDenseFourteen:
         start = time.perf_counter()
         bracket = min_rank(dense_fourteen(), budget_ms=1000)
         assert time.perf_counter() - start < 5
-        assert (bracket.lower, bracket.upper) == (3, 12)
-        assert [c.kind for c in bracket.certificates] == ["null-vector", "rank2-type"]
+        assert (bracket.lower, bracket.upper) == (4, 12)
+        kinds = [c.kind for c in bracket.certificates]
+        assert kinds == ["null-vector", "rank3-exhausted", "rank2-type"]
+        assert bracket.certificates[1].payload.question == "cov"
 
 
 class TestWidthPolicy:
@@ -120,19 +127,14 @@ class TestWidthPolicy:
         monkeypatch.setattr(signrank.minrank, "is_L_matrix", recording)
         return calls
 
-    @staticmethod
-    def dense(d, seed):
-        rng = Random(seed)
-        return SignPattern.from_grid([[rng.choice((-1, 0, 1)) for _ in range(d)] for _ in range(d)])
-
     def test_seventeen_columns_skip_the_l_matrix_rung(self, l_matrix_calls):
-        bracket = min_rank(self.dense(17, 17), budget_ms=1000)
+        bracket = min_rank(dense(17, 17), budget_ms=1000)
         assert l_matrix_calls == []
         assert bracket.lower == 3 and bracket.upper <= 17
         assert [c.kind for c in bracket.certificates] == ["matching"]
 
     def test_thirteen_columns_need_a_budget(self, l_matrix_calls):
-        pattern = self.dense(13, 13)
+        pattern = dense(13, 13)
         min_rank(pattern)
         assert l_matrix_calls == []
         min_rank(pattern, budget_ms=1000)
@@ -309,25 +311,117 @@ class TestMinRank:
                 assert bracket.lower == 3 and bracket.upper in (4,)
 
     def test_budget_caps_the_whole_call(self, monkeypatch):
-        # time spent in the earlier rungs comes off the type search's budget
+        # time spent in the earlier rungs comes off the rank-3 rung's budget;
+        # cov hits on this pattern, so no later rung runs
         budgets = []
+        real = signrank.minrank.rank3_search
 
         def slow_rank2(pattern, budget_ms=None):
             time.sleep(0.2)
             return None
 
-        def recording_type_search(pattern, budget_ms=None):
+        def recording_rank3(pattern, question, budget_ms=None):
             budgets.append(budget_ms)
-            return None
+            return real(pattern, question)
+
+        def no_type_search(pattern, budget_ms=None):
+            raise AssertionError("the type search ran after a rank-3 hit")
 
         monkeypatch.setattr(signrank.minrank, "mr_le_2", slow_rank2)
-        monkeypatch.setattr(signrank.minrank, "mr_le_n_minus_2", recording_type_search)
+        monkeypatch.setattr(signrank.minrank, "rank3_search", recording_rank3)
+        monkeypatch.setattr(signrank.minrank, "mr_le_n_minus_2", no_type_search)
         pattern = SignPattern.from_strings(
             ["-+0++-", "-++++-", "+----+", "--0+-+", "+++-+-", "+++--+"]
         )
-        min_rank(pattern, budget_ms=300)
+        bracket = min_rank(pattern, budget_ms=300)
         assert len(budgets) == 1
         assert isinstance(budgets[0], int) and 0 <= budgets[0] <= 100
+        assert (bracket.lower, bracket.upper) == (3, 3)
+
+    def test_each_later_search_gets_what_is_left(self, monkeypatch):
+        # a dense 7x7 with mr = 5: cov and vec are exhausted and the type
+        # search decides; each receives the remainder of the one budget
+        budgets = []
+        real_rank3 = signrank.minrank.rank3_search
+        real_type = signrank.minrank.mr_le_n_minus_2
+
+        def slow_rank2(pattern, budget_ms=None):
+            time.sleep(0.2)
+            return None
+
+        def recording_rank3(pattern, question, budget_ms=None):
+            budgets.append((question, budget_ms))
+            time.sleep(0.02)
+            return real_rank3(pattern, question)
+
+        def recording_type(pattern, budget_ms=None):
+            budgets.append(("type", budget_ms))
+            return real_type(pattern)
+
+        monkeypatch.setattr(signrank.minrank, "mr_le_2", slow_rank2)
+        monkeypatch.setattr(signrank.minrank, "rank3_search", recording_rank3)
+        monkeypatch.setattr(signrank.minrank, "mr_le_n_minus_2", recording_type)
+        bracket = min_rank(dense(7, 7001), budget_ms=1000)
+        assert (bracket.lower, bracket.upper) == (5, 5)
+        assert [q for q, _ in budgets] == ["cov", "vec", "type"]
+        left = [b for _, b in budgets]
+        assert left[0] <= 800 and left[0] - left[1] >= 20 and left[1] - left[2] >= 20
+
+
+class TestRank3Rung:
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        real = signrank.minrank.rank3_search
+
+        def counting(pattern, question, **kwargs):
+            calls.append(question)
+            return real(pattern, question, **kwargs)
+
+        monkeypatch.setattr(signrank.minrank, "rank3_search", counting)
+        return calls
+
+    def test_min_rank_calls_the_module_binding(self, monkeypatch):
+        # the rung is looked up on the module at call time, so a wrapper
+        # installed there (as the benchmark's tracer does) sees every call
+        calls = self.counting(monkeypatch)
+        pattern = SignPattern.from_strings(
+            ["-+0++-", "-++++-", "+----+", "--0+-+", "+++-+-", "+++--+"]
+        )
+        bracket = min_rank(pattern, budget_ms=1000)
+        assert calls == ["cov"]
+        assert (bracket.lower, bracket.upper) == (3, 3)
+        assert [c.kind for c in bracket.certificates] == ["null-vector", "realization"]
+
+    def test_vec_runs_only_from_seven_to_eight_columns(self, monkeypatch):
+        # dense Random(1000 d): cov is exhausted at every d, so the ladder
+        # goes on; vec runs at d = 7 and 8 and realizes mr <= d - 3 there
+        calls = self.counting(monkeypatch)
+        for d, expected, bracket_ in (
+            (6, ["cov"], (4, 4)), (7, ["cov", "vec"], (4, 4)),
+            (8, ["cov", "vec"], (4, 5)), (9, ["cov"], (4, 7)),
+        ):
+            calls.clear()
+            bracket = min_rank(dense(d, 1000 * d))
+            assert calls == expected
+            assert (bracket.lower, bracket.upper) == bracket_
+
+    def test_random_upper_bound_is_not_called(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("min_rank called random_upper_bound")
+
+        monkeypatch.setattr(signrank.minrank, "random_upper_bound", refuse)
+        for d in (6, 7):
+            min_rank(dense(d, 31 + d), budget_ms=1000)
+
+    def test_dense_six_and_seven_are_exact(self):
+        # Random(1000 n + s): every 6x6 and 7x7 of the seeded set is exact
+        for n in (6, 7):
+            for s in range(8):
+                start = time.perf_counter()
+                bracket = min_rank(dense(n, 1000 * n + s), budget_ms=1000)
+                assert time.perf_counter() - start < 2
+                assert bracket.exact, (n, s, bracket.lower, bracket.upper)
 
 
 class TestRandomUpperBound:
@@ -388,24 +482,6 @@ class TestRandomUpperBound:
                 zero_hits += has_zero and found is not None
         assert cases >= 400 and hits > 50
         assert zero_cases > 100 and zero_hits > 10
-
-    def test_min_rank_calls_the_module_binding(self, monkeypatch):
-        # the rung is looked up on the module at call time, so a wrapper
-        # installed there (as the benchmark's tracer does) sees every call
-        calls = []
-        real = signrank.minrank.random_upper_bound
-
-        def counting(pattern, r, **kwargs):
-            calls.append(r)
-            return real(pattern, r, **kwargs)
-
-        monkeypatch.setattr(signrank.minrank, "random_upper_bound", counting)
-        pattern = SignPattern.from_strings(
-            ["-+0++-", "-++++-", "+----+", "--0+-+", "+++-+-", "+++--+"]
-        )
-        bracket = min_rank(pattern, budget_ms=1000)
-        assert calls == [3]
-        assert (bracket.lower, bracket.upper) == (3, 4)
 
 
 class TestExhaustiveTwoByTwo:
