@@ -11,7 +11,6 @@ from .rational import (
     rank,
     rref,
     schur_complement,
-    strict_feasibility,
 )
 from .signs import (
     MINUS,
@@ -35,6 +34,7 @@ from .covectors import (
     random_subspace,
     same_sign_dim_check,
     sign_vectors,
+    strict_feasibility,
     verify_duality,
 )
 from .rank2 import (

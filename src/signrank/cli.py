@@ -322,8 +322,8 @@ def _cmd_extremal(args) -> int:
     for n in range(2, n_max + 1):
         max_report = extremal.s2_exhaustive_max(n)
         witness = extremal.s2_witness_count(n)
-        hyper = extremal.s_hyperplane_max(n, samples=10, seed=args.seed)
-        mins = [extremal.s_min_witness(k, n, samples=5, seed=args.seed).count for k in range(1, n + 1)]
+        hyper = extremal.s_hyperplane_max(n, samples=0)
+        mins = [extremal.s_min_witness(k, n, samples=0).count for k in range(1, n + 1)]
         entry = {
             "n": n,
             "S2_max": max_report.count,
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", help="reproduced extremal sign-vector counts")
     p.add_argument("--n", type=int, default=None, help="largest ambient dimension (2..6)")
-    common(p, seed=True)
+    common(p)
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")

@@ -34,6 +34,12 @@ cocircuits (Bjorner et al. 3.7); the sum of their integer witnesses then
 has image signs X. member_witness reads the cocircuits of a basis from a
 small cache, along with the rows of D B that re-check each witness in
 integers, so repeated queries against one subspace build them once.
+
+Strict feasibility is the same query. An x with a.x = 0 on the equality
+rows and a.x > 0 on the positive rows exists exactly when the sign vector
+that is 0 on the former and + on the latter lies in sign(L), for L the
+column space of the stacked rows; strict_feasibility asks member_witness
+and needs no elimination.
 """
 
 from dataclasses import dataclass, field
@@ -46,14 +52,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InternalCheckError
-from .rational import (
-    RationalMatrix,
-    RationalSubspace,
-    integer_determinant,
-    orth_complement,
-    # not called: bench/workloads.py traces it, tests/test_imports.py pins it
-    strict_feasibility,
-)
+from .rational import RationalMatrix, RationalSubspace, integer_determinant, orth_complement, rref
 from .signs import SignVector, SignVectorSet, canonical_index, set_perp, sign_of_vector
 
 __all__ = [
@@ -61,6 +60,7 @@ __all__ = [
     "DualityCheck",
     "sign_vectors",
     "member_witness",
+    "strict_feasibility",
     "verify_duality",
     "same_sign_dim_check",
     "random_subspace",
@@ -311,6 +311,36 @@ def member_witness(
     if _pack_signs([sum(map(mul, row, total)) for row in rows]) != (pos, neg):
         raise InternalCheckError("conformal cover does not realize the requested signs")
     return tuple(Fraction(v) for v in total)
+
+
+def strict_feasibility(
+    equalities: Sequence[Sequence], positives: Sequence[Sequence]
+) -> Optional[tuple[Fraction, ...]]:
+    """Exact homogeneous strict feasibility.
+
+    Finds a rational x with a.x = 0 for every equality row and a.x >= 1 for
+    every positive row, or returns None when no such x exists. The pivot
+    columns of M = [equalities; positives] are a basis of its column space
+    L; member_witness looks for the 0/+ sign vector in sign(L), and its
+    witness, placed on those columns and scaled so that the least positive
+    row value is 1, is x.
+    """
+    equalities, positives = list(equalities), list(positives)
+    matrix = RationalMatrix(equalities + positives)  # DimensionError on ragged rows
+    if not positives:
+        return (Fraction(0),) * matrix.cols
+    _, pivots = rref(matrix)
+    basis = RationalMatrix([[row[j] for j in pivots] for row in matrix.data])
+    space = RationalSubspace(matrix.rows, basis)
+    mask = (1 << matrix.rows) - (1 << len(equalities))
+    y = member_witness(space, SignVector(matrix.rows, mask, 0))
+    if y is None:
+        return None
+    x = [Fraction(0)] * matrix.cols
+    for j, v in zip(pivots, y):
+        x[j] = v
+    least = min(matrix.apply(x)[len(equalities) :])
+    return tuple(v / least for v in x)
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,12 @@ bracket.
 One deadline covers the whole call: each search receives what the rungs
 before it left of budget_ms.
 
-random_upper_bound, which min_rank no longer calls, draws each
-factorization U V from the stream of Random(seed).randint(-3, 3),
-replayed in batches by lattice_draws, and rejects it at the first entry
-of U V whose sign is wrong, using integer dot products; only a hit
-becomes a RationalMatrix, re-verified by sign_of.
-
 The type search itself lives in rank2.find_plane_type, shared with the
 rank n-2 realization in realize; mr_le_n_minus_2 runs it on the rows.
 """
 
 import time
 from dataclasses import dataclass
-from operator import mul
 from random import Random
 from typing import Any, Optional
 
@@ -43,7 +36,6 @@ __all__ = [
     "Certificate",
     "MinRankBracket",
     "is_L_matrix",
-    "lattice_draws",
     "mr_le_n_minus_2",
     "mr_eq_n_minus_1",
     "min_rank",
@@ -118,28 +110,6 @@ def mr_eq_n_minus_1(pattern: SignPattern, budget_ms: int | None = None) -> bool:
     return mr_le_n_minus_2(pattern, budget_ms=budget_ms) is None
 
 
-# CPython's Random.randint(-3, 3) is getrandbits(3), the top 3 bits of one
-# 32-bit Mersenne Twister word, with 7 rejected, minus 3. These tables
-# replay that on the top byte of each word: translate deletes the bytes
-# whose top bits are 7 and maps the rest to value - 3 as a signed byte.
-_LATTICE_VALUE = bytes(((b >> 5) - 3) & 0xFF for b in range(256))
-_LATTICE_REJECTED = bytes(range(0xE0, 0x100))
-_BATCH_VALUES = 4096
-
-
-def lattice_draws(rng: Random, count: int) -> list[int]:
-    """The next count values of rng.randint(-3, 3), leaving rng in the state
-    that count such calls would; each round draws one word per value still
-    missing with a single getrandbits call."""
-    values: list[int] = []
-    while len(values) < count:
-        words = count - len(values)
-        top_bytes = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        kept = top_bytes.translate(_LATTICE_VALUE, _LATTICE_REJECTED)
-        values.extend(memoryview(kept).cast("b").tolist())
-    return values
-
-
 def random_upper_bound(
     pattern: SignPattern, r: int, seed: int = 0, iterations: int = 2000
 ) -> Optional[RationalMatrix]:
@@ -147,45 +117,20 @@ def random_upper_bound(
     {-3..3} lattice for a matrix with the pattern's signs; any hit is an
     exact rank <= r witness.
 
-    Each iteration takes the next (m + n) r values of
-    Random(seed).randint(-3, 3), U row-major and then V row-major, whether
-    or not it hits. A draw is rejected at the first entry of U V whose sign
-    is wrong; entries are tested as integer dot products, the pattern's zero
-    entries first. A hit is rebuilt as a RationalMatrix and re-verified by
-    sign_of before it is returned.
+    Each iteration draws U and then V, row-major, from
+    Random(seed).randint(-3, 3) and returns the first product whose signs
+    are the pattern's.
     """
     if r < 1:
         raise ValueError("rank bound must be at least 1")
     rng = Random(seed)
     m, n = pattern.rows, pattern.cols
-    u_size = m * r
-    need = u_size + r * n
-    # per entry: U's row i and V's column j as slice bounds into one draw
-    zeros, signed = [], []
-    for i, row in enumerate(pattern.row_vectors):
-        for j, s in enumerate(row):
-            (signed if s else zeros).append((i * r, (i + 1) * r, u_size + j, s))
-    checks = zeros + signed
-    batch = max(1, _BATCH_VALUES // max(need, 1))
-    draws: list[int] = []
-    for t in range(iterations):
-        base = (t % batch) * need
-        if base == 0:
-            draws = lattice_draws(rng, need * min(batch, iterations - t))
-        w = draws[base : base + need]
-        for u_start, u_end, v_start, s in checks:
-            dot = sum(map(mul, w[u_start:u_end], w[v_start:need:n]))
-            if (dot > 0) - (dot < 0) != s:
-                break
-        else:
-            u = [w[i * r : (i + 1) * r] for i in range(m)]
-            v = [w[u_size + k * n : u_size + (k + 1) * n] for k in range(r)]
-            product = [
-                [sum(u[i][k] * v[k][j] for k in range(r)) for j in range(n)] for i in range(m)
-            ]
-            candidate = RationalMatrix(product, cols=n)
-            if sign_of(candidate) != pattern:
-                raise InternalCheckError("integer sign check disagrees with sign_of")
+    for _ in range(iterations):
+        u = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        product = [[sum(u[i][k] * v[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+        candidate = RationalMatrix(product, cols=n)
+        if sign_of(candidate) == pattern:
             return candidate
     return None
 

@@ -2,14 +2,13 @@
 
 Everything is immutable and pure: operations return new objects and never
 round. Matrices are dense on purpose; dimensions in this package stay at
-desk scale (well under ~20 in each direction). strict_feasibility eliminates
-on primitive integer rows and back-substitutes its witness in rationals.
+desk scale (well under ~20 in each direction). There is no feasibility
+solver here: strict feasibility is a sign-vector question, answered in
+covectors by a conformal cover of cocircuits.
 """
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, ParseError, SingularBlockError
 
@@ -24,7 +23,6 @@ __all__ = [
     "nullspace_basis",
     "orth_complement",
     "schur_complement",
-    "strict_feasibility",
 ]
 
 
@@ -364,113 +362,3 @@ def schur_complement(matrix: RationalMatrix, block: int) -> RationalMatrix:
     bottom = matrix.data[n:]
     bx = RationalMatrix([row[:n] for row in bottom], cols=n).mul(x)
     return RationalMatrix([[e - v for e, v in zip(row[n:], r)] for row, r in zip(bottom, bx.data)], cols=q)
-
-
-def _primitive_row(coeffs: Sequence[int], rhs: int) -> tuple[tuple[int, ...], int]:
-    """Divide an integer inequality a.y >= b by gcd(a, b); keeping b inside
-    the gcd makes the division exact, so no bound is rounded."""
-    g = gcd(*coeffs, rhs) or 1
-    return tuple(v // g for v in coeffs), rhs // g
-
-
-def strict_feasibility(
-    equalities: Sequence[Sequence], positives: Sequence[Sequence]
-) -> Optional[tuple[Fraction, ...]]:
-    """Exact homogeneous strict feasibility.
-
-    Finds a rational x with a.x = 0 for every equality row and a.x >= 1 for
-    every positive row, or returns None when no such x exists. ("> 0" and
-    ">= 1" are interchangeable by homogeneous scaling.) Equalities are
-    eliminated by substitution through their null space, and each reduced
-    row is scaled once to primitive integers. Fourier-Motzkin elimination
-    then runs on integer rows only, each combined row divided by its gcd;
-    the witness is rebuilt by rational back-substitution, picking the
-    midpoint of each bounded interval.
-    """
-    eq = [tuple(Fraction(e) for e in row) for row in equalities]
-    pos = [tuple(Fraction(e) for e in row) for row in positives]
-    lengths = {len(r) for r in chain(eq, pos)}
-    if len(lengths) > 1:
-        raise DimensionError("constraint rows have unequal lengths")
-    dim = lengths.pop() if lengths else 0
-    if not pos:
-        return tuple(Fraction(0) for _ in range(dim))
-
-    null_cols = _nullspace_columns(eq, dim)
-    free = len(null_cols)
-    reduced = []
-    for row in pos:
-        coeffs = tuple(
-            sum((row[i] * col[i] for i in range(dim)), Fraction(0)) for col in null_cols
-        )
-        if not any(coeffs):
-            return None  # the row is forced to 0 on the feasible set
-        mult = lcm(*(e.denominator for e in coeffs))
-        reduced.append(
-            _primitive_row([e.numerator * (mult // e.denominator) for e in coeffs], mult)
-        )
-
-    stages = [reduced]
-    system = reduced
-    for var in range(free):
-        merged: dict[tuple[int, ...], int] = {}
-        lowers = []
-        uppers = []
-        for coeffs, rhs in system:
-            c = coeffs[var]
-            if c > 0:
-                lowers.append((coeffs, rhs))
-            elif c < 0:
-                uppers.append((coeffs, rhs))
-            elif coeffs not in merged or rhs > merged[coeffs]:
-                merged[coeffs] = rhs
-        for lc, lr in lowers:
-            for uc, ur in uppers:
-                scale_l = -uc[var]
-                scale_u = lc[var]
-                coeffs, rhs = _primitive_row(
-                    [scale_l * a + scale_u * b for a, b in zip(lc, uc)],
-                    scale_l * lr + scale_u * ur,
-                )
-                if not any(coeffs):
-                    if rhs > 0:
-                        return None
-                    continue
-                if coeffs not in merged or rhs > merged[coeffs]:
-                    merged[coeffs] = rhs
-        system = list(merged.items())
-        stages.append(system)
-
-    for coeffs, rhs in stages[-1]:
-        if rhs > 0:
-            return None
-
-    y = [Fraction(0)] * free
-    for var in range(free - 1, -1, -1):
-        lo = None
-        hi = None
-        for coeffs, rhs in stages[var]:
-            c = coeffs[var]
-            if c == 0:
-                continue
-            rest = sum(
-                (coeffs[j] * y[j] for j in range(var + 1, free)), Fraction(0)
-            )
-            bound = (rhs - rest) / c
-            if c > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-        if lo is not None and hi is not None:
-            y[var] = (lo + hi) / 2
-        elif lo is not None:
-            y[var] = lo + 1
-        elif hi is not None:
-            y[var] = hi - 1
-
-    x = [Fraction(0)] * dim
-    for j, col in enumerate(null_cols):
-        if y[j]:
-            for i in range(dim):
-                x[i] += y[j] * col[i]
-    return tuple(x)

@@ -1,5 +1,6 @@
 """Module boundaries: package modules import only each other's public names,
-and every name the benchmark wraps is still bound where it wraps it."""
+every name the benchmark wraps is still bound where it wraps it, and the
+two traced names that nothing calls stay uncalled."""
 
 import ast
 import importlib
@@ -64,3 +65,40 @@ def test_every_binding_the_benchmark_wraps_exists(monkeypatch):
         if not hasattr(module, attr)
     ]
     assert missing == []
+
+
+# traced by the benchmark, called by nothing in the package: deleting them
+# needs only their trace points moved
+BINDING_ONLY = ("strict_feasibility", "random_upper_bound")
+
+
+def calls_to(source: str, names) -> list[str]:
+    """Calls in `source` of any of `names`, bare or as an attribute, with
+    their line numbers; definitions and imports are not calls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_call_detector_ignores_definitions_and_imports():
+    source = (
+        "from .minrank import random_upper_bound\n"
+        "def strict_feasibility(equalities, positives):\n    return None\n"
+        "upper = minrank.random_upper_bound(pattern, 3)\n"
+        "x = strict_feasibility([], [])\n"
+    )
+    assert calls_to(source, BINDING_ONLY) == ["random_upper_bound:4", "strict_feasibility:5"]
+
+
+def test_binding_only_names_have_no_caller():
+    callers = {
+        path.name: found
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (found := calls_to(path.read_text(encoding="utf-8"), BINDING_ONLY))
+    }
+    assert callers == {}

@@ -4,12 +4,14 @@ from fractions import Fraction
 from itertools import chain, permutations, product
 from math import gcd
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signrank import covectors
+from signrank.covectors import sign_vectors, strict_feasibility
 from signrank.errors import DimensionError, ParseError, SingularBlockError
 from signrank.rational import (
     RationalMatrix,
@@ -22,7 +24,6 @@ from signrank.rational import (
     rank,
     rref,
     schur_complement,
-    strict_feasibility,
 )
 from signrank.signs import SignVector, sign_of_vector
 
@@ -425,7 +426,7 @@ def _reference_normalize_row(coeffs, rhs):
 
 def reference_strict_feasibility(equalities, positives):
     """The Fourier-Motzkin elimination on Fraction rows that strict_feasibility
-    replaced; it must give the same None or the same witness."""
+    once ran, kept as the verdict oracle: None exactly when it gives None."""
     eq = [tuple(Fraction(e) for e in row) for row in equalities]
     pos = [tuple(Fraction(e) for e in row) for row in positives]
     lengths = {len(r) for r in chain(eq, pos)}
@@ -516,11 +517,32 @@ def reference_strict_feasibility(equalities, positives):
     return tuple(x)
 
 
+def assert_exact_witness(equalities, positives, x):
+    assert all(type(v) is Fraction for v in x)
+    assert all(sum(a * v for a, v in zip(r, x)) == 0 for r in equalities)
+    assert all(sum(a * v for a, v in zip(r, x)) >= 1 for r in positives)
+
+
 def assert_same_as_reference(equalities, positives):
     got = strict_feasibility(equalities, positives)
-    assert got == reference_strict_feasibility(equalities, positives)
-    assert got is None or all(type(v) is Fraction for v in got)
+    assert (got is None) == (reference_strict_feasibility(equalities, positives) is None)
+    if got is not None:
+        assert_exact_witness(equalities, positives, got)
     return got
+
+
+def seeded_systems(rng, count):
+    """count systems of 0..3 equality and 1..8 positive rows in Q^1..Q^6."""
+    for _ in range(count):
+        dim = rng.randint(1, 6)
+
+        def rows(count):
+            return [
+                tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
+                for _ in range(count)
+            ]
+
+        yield rows(rng.randint(0, 3)), rows(rng.randint(1, 8))
 
 
 # Fourier-Motzkin on 8 rows in R^6 can grow doubly exponentially, and a
@@ -531,19 +553,8 @@ CROSS_CHECK_SEED = 2024
 
 class TestStrictFeasibilityAgainstReference:
     def test_seeded_systems(self):
-        rng = Random(CROSS_CHECK_SEED)
         feasible = infeasible = 0
-        for _ in range(500):
-            dim = rng.randint(1, 6)
-
-            def rows(count):
-                return [
-                    tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
-                    for _ in range(count)
-                ]
-
-            equalities = rows(rng.randint(0, 3))
-            positives = rows(rng.randint(1, 8))
+        for equalities, positives in seeded_systems(Random(CROSS_CHECK_SEED), 500):
             if assert_same_as_reference(equalities, positives) is None:
                 infeasible += 1
             else:
@@ -552,7 +563,9 @@ class TestStrictFeasibilityAgainstReference:
 
     def test_parallel_rows_keep_the_tighter_bound(self):
         # positive multiples of a row share its primitive coefficients but
-        # not its bound, which exercises the deduplication of every stage
+        # not its bound; the reference dedupes them at every elimination
+        # stage, and strict_feasibility, which has no stages, must reach
+        # the same verdicts on these systems of parallel rows
         rng = Random(CROSS_CHECK_SEED + 1)
         for _ in range(200):
             dim = rng.randint(1, 4)
@@ -603,6 +616,35 @@ class TestStrictFeasibilityAgainstReference:
         for equalities, positives, witness in systems:
             feasible = assert_same_as_reference(equalities, positives) is not None
             assert (witness is not None) == feasible
+
+
+class TestStrictFeasibilityAgainstClosure:
+    # an independent mechanism: the 0/+ target against all of sign(L),
+    # closed under composition, rather than the conformal cover
+    def test_verdicts_match_the_sign_closure(self):
+        feasible = infeasible = 0
+        for equalities, positives in seeded_systems(Random(5), 500):
+            rows = equalities + positives
+            space = RationalSubspace.from_spanning(len(rows), RationalMatrix(rows).columns())
+            target = SignVector.from_signs([0] * len(equalities) + [1] * len(positives))
+            got = strict_feasibility(equalities, positives)
+            assert (got is not None) == (target in sign_vectors(space).signs)
+            if got is None:
+                infeasible += 1
+            else:
+                assert_exact_witness(equalities, positives, got)
+                feasible += 1
+        assert feasible >= 100 and infeasible >= 100
+
+    def test_the_slowest_fourier_motzkin_draw(self):
+        # draw 380 of Random(5): 8 positive rows in Q^6, infeasible, 2.7 s
+        # for integer Fourier-Motzkin on a 2-core container
+        equalities, positives = list(seeded_systems(Random(5), 381))[-1]
+        assert not equalities and len(positives) == 8 and len(positives[0]) == 6
+        covectors._cached_cocircuits.cache_clear()
+        start = perf_counter()
+        assert strict_feasibility(equalities, positives) is None
+        assert perf_counter() - start < 1
 
 
 class TestSubspace:
