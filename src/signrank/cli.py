@@ -322,8 +322,8 @@ def _cmd_extremal(args) -> int:
     for n in range(2, n_max + 1):
         max_report = extremal.s2_exhaustive_max(n)
         witness = extremal.s2_witness_count(n)
-        hyper = extremal.s_hyperplane_max(n, samples=0)
-        mins = [extremal.s_min_witness(k, n, samples=0).count for k in range(1, n + 1)]
+        hyper = extremal.s_hyperplane_max(n)
+        mins = [extremal.s_min_witness(k, n).count for k in range(1, n + 1)]
         entry = {
             "n": n,
             "S2_max": max_report.count,

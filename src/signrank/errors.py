@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the deadline behind every budgeted search."""
+
+import time
 
 
 class SignRankError(Exception):
@@ -27,6 +29,31 @@ class SingularBlockError(SignRankError, ValueError):
 
 class BudgetExceededError(SignRankError, RuntimeError):
     """A bounded search ran out of its wall-clock budget before deciding."""
+
+
+class Deadline:
+    """The end of one call's budget_ms (None: no limit). spend(work) reads
+    the clock on its first call, then once READ_EVERY units of work have
+    been spent since the last reading, and raises BudgetExceededError once
+    the budget has passed; left_ms() is what is left, None without a limit."""
+
+    READ_EVERY = 1024
+
+    def __init__(self, budget_ms: int | None):
+        self.end = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+        self.unread = self.READ_EVERY
+
+    def spend(self, work: int) -> None:
+        self.unread += work
+        if self.unread >= self.READ_EVERY:
+            self.unread = 0
+            if self.end is not None and time.monotonic() >= self.end:
+                raise BudgetExceededError("search ran out of budget")
+
+    def left_ms(self) -> int | None:
+        if self.end is None:
+            return None
+        return max(0, int((self.end - time.monotonic()) * 1000))
 
 
 class InternalCheckError(SignRankError, RuntimeError):

@@ -8,10 +8,9 @@ lower-bound construction 3(4n-3) from a direct sum.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Optional
 
-from .covectors import random_subspace, sign_vectors
+from .covectors import sign_vectors
 from .errors import DimensionError
 from .rank2 import mr_le_2, realize_rank2, type_sign_sets
 from .rational import RationalMatrix, RationalSubspace, orth_complement
@@ -99,27 +98,22 @@ def s2_exhaustive_max(n: int) -> ExtremalReport:
                           formula_value=4 * n + 1, detail=tuple(sorted(achieved)))
 
 
-def s_min_witness(k: int, n: int, samples: int = 25, seed: int = 0) -> ExtremalReport:
-    """Counts sign vectors of the coordinate subspace span{e_1..e_k} (the
-    3^k minimum) and spot-checks the lower bound on sampled subspaces."""
+def s_min_witness(k: int, n: int) -> ExtremalReport:
+    """Counts sign vectors of the coordinate subspace span{e_1..e_k}, the
+    3^k minimum."""
     if not 1 <= k <= n:
         raise DimensionError("need 1 <= k <= n")
     cols = [[Fraction(int(i == j)) for i in range(n)] for j in range(k)]
     coordinate = RationalSubspace(n, RationalMatrix.from_columns(cols, rows=n))
     count = len(sign_vectors(coordinate).signs)
-    rng = Random(seed)
-    sampled_min = None
-    for _ in range(samples):
-        c = len(sign_vectors(random_subspace(n, k, rng)).signs)
-        sampled_min = c if sampled_min is None or c < sampled_min else sampled_min
     return ExtremalReport(n=n, k=k, kind="min", count=count,
-                          formula_value=3**k, witness=coordinate, detail=sampled_min)
+                          formula_value=3**k, witness=coordinate)
 
 
-def s_hyperplane_max(n: int, samples: int = 25, seed: int = 0) -> ExtremalReport:
+def s_hyperplane_max(n: int) -> ExtremalReport:
     """Counts sign vectors of the hyperplane orthogonal to the all-ones
     vector, double-checked against the orthogonal-complement count of the
-    all-+ sign vector; sampled hyperplanes stay at or below the formula."""
+    all-+ sign vector."""
     if n < 2:
         raise DimensionError("need n >= 2")
     ones = RationalSubspace(n, RationalMatrix.from_columns([[Fraction(1)] * n], rows=n))
@@ -127,15 +121,9 @@ def s_hyperplane_max(n: int, samples: int = 25, seed: int = 0) -> ExtremalReport
     count = len(sign_vectors(hyperplane).signs)
     all_plus = SignVector.from_signs([1] * n)
     perp_count = len(set_perp([all_plus], n=n))
-    rng = Random(seed)
-    sampled_max = 0
-    for _ in range(samples):
-        h = orth_complement(random_subspace(n, 1, rng))
-        sampled_max = max(sampled_max, len(sign_vectors(h).signs))
     return ExtremalReport(n=n, k=n - 1, kind="max", count=count,
                           formula_value=hyperplane_count_formula(n),
-                          witness=hyperplane, detail={"perp_count": perp_count,
-                                                      "sampled_max": sampled_max})
+                          witness=hyperplane, detail={"perp_count": perp_count})
 
 
 def s3_lower_witness(n: int) -> ExtremalReport:

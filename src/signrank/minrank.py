@@ -14,19 +14,18 @@ ladder is exact whenever it closes the gap, which is guaranteed for
 d <= 5; a rank-3 hit that cannot be placed, or a budget cut, leaves a
 bracket.
 
-One deadline covers the whole call: each search receives what the rungs
-before it left of budget_ms.
+Each call has one Deadline for the whole of budget_ms: each search
+receives what the rungs before it left. is_L_matrix takes no budget.
 
 The type search itself lives in rank2.find_plane_type, shared with the
 rank n-2 realization in realize; mr_le_n_minus_2 runs it on the rows.
 """
 
-import time
 from dataclasses import dataclass
 from random import Random
 from typing import Any, Optional
 
-from .errors import BudgetExceededError, InternalCheckError
+from .errors import BudgetExceededError, Deadline, InternalCheckError
 from .rank2 import Rank2Type, find_plane_type, mr_le_2, realize_rank2
 from .rank3 import COV, VEC, rank3_search
 from .rational import RationalMatrix
@@ -103,11 +102,13 @@ def mr_le_n_minus_2(
 def mr_eq_n_minus_1(pattern: SignPattern, budget_ms: int | None = None) -> bool:
     """Both characterizing conditions for minimum rank cols-1: some nonzero
     sign vector is orthogonal to every row, and no 2-dimensional type
-    absorbs the rows."""
+    absorbs the rows. budget_ms caps the whole call: the type search
+    receives what is_L_matrix left of it."""
+    deadline = Deadline(budget_ms)
     full_rank, _ = is_L_matrix(pattern)
     if full_rank:
         return False
-    return mr_le_n_minus_2(pattern, budget_ms=budget_ms) is None
+    return mr_le_n_minus_2(pattern, budget_ms=deadline.left_ms()) is None
 
 
 def random_upper_bound(
@@ -151,7 +152,7 @@ def min_rank(pattern: SignPattern, budget_ms: int | None = None) -> MinRankBrack
     """Exact minimum rank when the decision ladder closes (always for
     min(m, n) <= 5 and whenever an early rung fires), else a bracket. Each
     search receives what the rungs before it left of budget_ms."""
-    start = time.monotonic()
+    deadline = Deadline(budget_ms)
     transposed = pattern.cols > pattern.rows
     working = pattern.transpose() if transposed else pattern
     d = working.cols
@@ -183,17 +184,11 @@ def min_rank(pattern: SignPattern, budget_ms: int | None = None) -> MinRankBrack
     if d == 4:
         return _bracket(3, 3, transposed, certs)
 
-    # one deadline for the whole call: each search receives what is left
-    def remaining() -> int | None:
-        if budget_ms is None:
-            return None
-        return max(0, budget_ms - int((time.monotonic() - start) * 1000))
-
     lower, upper = 3, d - 1
     questions = [(COV, 3)] + ([(VEC, d - 3)] if VEC_WIDTHS[0] <= d <= VEC_WIDTHS[1] else [])
     for question, bound in questions:
         try:
-            found = rank3_search(working, question, budget_ms=remaining())
+            found = rank3_search(working, question, budget_ms=deadline.left_ms())
         except BudgetExceededError:
             continue
         if found.realization is not None:
@@ -207,7 +202,7 @@ def min_rank(pattern: SignPattern, budget_ms: int | None = None) -> MinRankBrack
 
     if lower <= d - 2 < upper:
         try:
-            plane_type = mr_le_n_minus_2(working, budget_ms=remaining())
+            plane_type = mr_le_n_minus_2(working, budget_ms=deadline.left_ms())
         except BudgetExceededError:
             pass
         else:

@@ -28,7 +28,7 @@ its first hit is the certificate. It is bitsliced: one Python int holds
 a bit per orientation of a structure, up to 1024 of them, so those
 orientations are decided together, and each is tested against the c rays
 of the type only (its cocircuits), which is equivalent to testing its
-whole sign set.
+whole sign set. Each search has one Deadline for its budget_ms.
 
 Orientation canon: only the lowest-indexed nonzero coordinate is pinned
 to +, which quotients exactly the global-negation symmetry (a basis and
@@ -36,13 +36,12 @@ its negation span the same subspace). Pinning one sign per class would
 lose sign sets once three or more classes exist.
 """
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError, DimensionError, InternalCheckError
+from .errors import Deadline, DimensionError, InternalCheckError
 from .rational import RationalMatrix, RationalSubspace, rank
 from .signs import (
     CondensationTrace,
@@ -361,18 +360,17 @@ def find_plane_type(
     rays is the first orientation of the canonical order, so the first hit
     is the type-by-type walk's.
 
-    Raises BudgetExceededError once budget_ms has passed, read before the
-    first block of orientations and then whenever 1024 or more types have
-    been decided since the last read, so budget_ms=0 stops any search that
-    has a type to test. Raises DimensionError for a line whose length is
-    not n.
+    One Deadline built from budget_ms raises BudgetExceededError once the
+    budget has passed; it reads the clock before the first block of
+    orientations and then once the blocks begun since the last reading hold
+    1024 or more types, so budget_ms=0 stops any search that has a type to
+    test. Raises DimensionError for a line whose length is not n.
     """
     for v in lines:
         if v.n != n:
             raise DimensionError(f"sign vector of length {v.n} against ambient length {n}")
     packed = [(v.pos, v.neg) for v in lines]
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    unread = 1024  # types decided since the clock was last read
+    deadline = Deadline(budget_ms)
     current = None
     for zero_mask, support, class_masks in _iter_structures(n, min_classes=2):
         if zero_mask != current:
@@ -381,11 +379,7 @@ def find_plane_type(
             width = every.bit_length()
         c = len(class_masks)
         for h in range(1 << len(high)):
-            if deadline is not None and unread >= 1024:
-                if time.monotonic() >= deadline:
-                    raise BudgetExceededError("type search ran out of budget")
-                unread = 0
-            unread += width
+            deadline.spend(width)
             flip = sum(bit for b, bit in enumerate(high) if h >> b & 1)
             admitted = every
             for reach, low, oriented, hp, hq in folded:

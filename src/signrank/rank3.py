@@ -38,10 +38,9 @@ grid from [-6, 6]^3 that keeps it inside. Each row's factor comes from
 member_witness on the row space of V (cov) or its orthogonal complement
 (vec), and the product A = U V is re-checked with sign_of and rank. A
 hit that cannot be placed leaves the search inconclusive, never
-exhausted.
+exhausted. Each call has one Deadline, shared by search and placement.
 """
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -50,7 +49,7 @@ from operator import itemgetter, mul
 from typing import Iterator, Optional
 
 from .covectors import member_witness
-from .errors import BudgetExceededError, DimensionError, InternalCheckError
+from .errors import Deadline, DimensionError, InternalCheckError
 from .rational import RationalMatrix, RationalSubspace, orth_complement, rank
 from .signs import SignPattern, sign_of
 
@@ -65,8 +64,6 @@ _GRID = 6
 _UNPLACED_LIMIT = 8
 # candidate points one placement tests before it gives up on a hit
 _PLACEMENT_TESTS = 20_000
-# nodes (or candidate points) between two readings of the clock
-_CLOCK_EVERY = 1024
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,7 @@ def _orthogonality_checks(
 
 
 def _chirotopes(
-    pattern: SignPattern, question: str, deadline: Optional[float], nodes: list
+    pattern: SignPattern, question: str, deadline: Deadline, nodes: list
 ) -> Iterator[dict]:
     """Every sign assignment to the triples that passes every check, with a
     nonzero value and the first nonzero value +, in search order, as a map
@@ -222,11 +219,11 @@ def _chirotopes(
     choice = [-1] * size
     lead = size  # position of the first nonzero value, size while there is none
     count = nodes[0]
+    spend, every = deadline.spend, Deadline.READ_EVERY
     p = 0
     while p >= 0:
         if built < len(blocks) and p == blocks[built][0]:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise BudgetExceededError("rank-3 search ran out of budget")
+            spend(every)  # always reads: building a block's checks can take long
             start, top = blocks[built]
             built += 1
             # a check that completes before the block's start waits for it
@@ -246,10 +243,8 @@ def _chirotopes(
         if lead >= p:
             lead = p if v else size
         count += 1
-        if deadline is not None and not count % _CLOCK_EVERY:
-            nodes[0] = count
-            if time.monotonic() >= deadline:
-                raise BudgetExceededError("rank-3 search ran out of budget")
+        if not count % every:  # spent in batches: a call per node costs a sixth of a node
+            spend(every)
         failed = False
         for s1, i1, j1, s2, i2, j2, s3, i3, j3 in gp[p]:
             t1 = s1 * val[i1] * val[j1]
@@ -298,19 +293,17 @@ def _primitive(v):
 
 
 class _Placement:
-    """The candidate points one placement has tested, against its cap and
-    the call's deadline."""
+    """The candidate points one placement has tested, against its cap; each
+    is spent from the call's deadline."""
 
-    def __init__(self, deadline: Optional[float]):
+    def __init__(self, deadline: Deadline):
         self.deadline = deadline
         self.tests = 0
 
     def tick(self) -> bool:
         """Count one test; False once the cap is reached."""
         self.tests += 1
-        if self.deadline is not None and not self.tests % _CLOCK_EVERY:
-            if time.monotonic() >= self.deadline:
-                raise BudgetExceededError("rank-3 placement ran out of budget")
+        self.deadline.spend(1)
         return self.tests <= _PLACEMENT_TESTS
 
 
@@ -443,7 +436,7 @@ def _candidates(placed: tuple, chi_of, k: int, placement: _Placement) -> Iterato
                 break
 
 
-def _place(chi: dict, d: int, deadline: Optional[float]) -> Optional[list]:
+def _place(chi: dict, d: int, deadline: Deadline) -> Optional[list]:
     """Integer points V_0..V_{d-1} of Z^3 whose 3 x 3 determinants have the
     signs chi, or None when the bounded backtracking finds none. Each basis
     triple in turn anchors the frame e1, e2, +-e3 until one placement
@@ -520,16 +513,16 @@ def rank3_search(
     or as vectors (question VEC: minimum rank at most cols-3).
 
     Returns the first hit that places, re-verified, or an exhausted or
-    inconclusive result; raises BudgetExceededError once budget_ms has
-    passed, read every 1024 nodes of the search and every 1024 candidate
-    points of a placement.
+    inconclusive result. One Deadline built from budget_ms raises
+    BudgetExceededError once the budget has passed: it reads the clock at
+    each block start and at least once per 1024 nodes or placement tests.
     """
     if question not in (COV, VEC):
         raise ValueError(f"unknown rank-3 question {question!r}")
     d = pattern.cols
     if d < 3:
         raise DimensionError("a rank-3 search needs at least 3 columns")
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    deadline = Deadline(budget_ms)
     nodes = [0]
     unplaced = 0
     for chi in _chirotopes(pattern, question, deadline, nodes):

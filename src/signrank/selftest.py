@@ -29,7 +29,7 @@ from .extremal import (
 )
 from .minrank import is_L_matrix, min_rank
 from .rank2 import mr_le_2, realize_rank2, type_sign_sets
-from .rational import RationalMatrix, rank
+from .rational import RationalMatrix, orth_complement, rank
 from .realize import STATUS_EXHAUSTED, rationalize_equation, realize_corank2
 from .signs import (
     SignPattern,
@@ -101,7 +101,7 @@ def check_coordinate_minimum() -> tuple[bool, str]:
     never go below."""
     for n in range(1, 7):
         for k in range(1, n + 1):
-            report = s_min_witness(k, n, samples=0)
+            report = s_min_witness(k, n)
             if report.count != 3**k:
                 return False, f"coordinate count at k={k} n={n}: {report.count} != {3 ** k}"
             rng = _cell_rng(4, n, k)
@@ -116,13 +116,15 @@ def check_hyperplane_maximum() -> tuple[bool, str]:
     """Hyperplane witnesses meet 3^n - 2(2^n - 1); samples never exceed it."""
     expected = {3: 13, 4: 51, 5: 181}
     for n, target in expected.items():
-        report = s_hyperplane_max(n, samples=200, seed=MASTER_SEED)
+        report = s_hyperplane_max(n)
         if report.count != target or report.formula_value != target:
             return False, f"hyperplane witness at n={n}: {report.count} != {target}"
         if report.detail["perp_count"] != target:
             return False, f"perp route at n={n}: {report.detail['perp_count']} != {target}"
-        if report.detail["sampled_max"] > target:
-            return False, f"sampled hyperplane exceeded the formula at n={n}"
+        rng = Random(MASTER_SEED)
+        for _ in range(200):
+            if len(sign_vectors(orth_complement(random_subspace(n, 1, rng))).signs) > target:
+                return False, f"sampled hyperplane exceeded the formula at n={n}"
     return True, "witness counts 13/51/181 at n=3/4/5; 200 sampled hyperplanes per n stay below"
 
 
@@ -291,7 +293,7 @@ def check_oddness_closure() -> tuple[bool, str]:
     for n in range(2, 9):
         collected.append(sign_vectors(s2_witness_count(n).witness).signs)
     for n in (3, 4, 5):
-        collected.append(sign_vectors(s_hyperplane_max(n, samples=0).witness).signs)
+        collected.append(sign_vectors(s_hyperplane_max(n).witness).signs)
         collected.append(sign_vectors(s3_lower_witness(n).witness).signs)
     for n in range(1, 5):
         for sign_set in type_sign_sets(n):

@@ -67,22 +67,20 @@ class TestS2ExhaustiveMax:
 class TestSMin:
     @pytest.mark.parametrize("k,n,expected", [(1, 5, 3), (3, 5, 27), (4, 4, 81)])
     def test_counts(self, k, n, expected):
-        report = s_min_witness(k, n, samples=10)
+        report = s_min_witness(k, n)
         assert report.count == expected == report.formula_value
-        assert report.detail >= expected  # sampled minimum respects the bound
 
     def test_full_dimension_matches_cube(self):
         for n in (2, 3, 4):
-            assert s_min_witness(n, n, samples=0).count == 3**n
+            assert s_min_witness(n, n).count == 3**n
 
 
 class TestHyperplaneMax:
     @pytest.mark.parametrize("n,expected", [(3, 13), (4, 51), (5, 181)])
     def test_counts(self, n, expected):
-        report = s_hyperplane_max(n, samples=20)
+        report = s_hyperplane_max(n)
         assert report.count == expected == report.formula_value
         assert report.detail["perp_count"] == expected
-        assert report.detail["sampled_max"] <= expected
 
     def test_formula_values(self):
         assert [hyperplane_count_formula(n) for n in (2, 3, 4, 5)] == [3, 13, 51, 181]
@@ -126,8 +124,8 @@ class TestMonotonicityAndOddness:
         reports = [
             s2_witness_count(4),
             s2_exhaustive_max(4),
-            s_min_witness(2, 4, samples=0),
-            s_hyperplane_max(4, samples=0),
+            s_min_witness(2, 4),
+            s_hyperplane_max(4),
             s3_lower_witness(4),
         ]
         for report in reports:

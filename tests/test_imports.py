@@ -1,6 +1,7 @@
 """Module boundaries: package modules import only each other's public names,
-every name the benchmark wraps is still bound where it wraps it, and the
-two traced names that nothing calls stay uncalled."""
+every name the benchmark wraps is still bound where it wraps it, the two
+traced names that nothing calls stay uncalled, and only the deadline and
+the selftest log read the clock."""
 
 import ast
 import importlib
@@ -102,3 +103,18 @@ def test_binding_only_names_have_no_caller():
         if (found := calls_to(path.read_text(encoding="utf-8"), BINDING_ONLY))
     }
     assert callers == {}
+
+
+# errors.Deadline is the one clock behind every budgeted search; selftest
+# times its checks for the log
+CLOCK_READERS = ("errors.py", "selftest.py")
+
+
+def test_only_the_deadline_and_selftest_read_the_clock():
+    readers = {
+        path.name: found
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name not in CLOCK_READERS
+        if (found := calls_to(path.read_text(encoding="utf-8"), ("monotonic", "perf_counter")))
+    }
+    assert readers == {}

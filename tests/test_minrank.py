@@ -179,6 +179,24 @@ class TestMrEqNMinus1:
     def test_zero(self):
         assert not mr_eq_n_minus_1(SignPattern.from_strings(["000", "000"]))
 
+    def test_budget_caps_the_whole_call(self, monkeypatch):
+        # the time is_L_matrix takes comes off the type search's budget
+        budgets = []
+        real = signrank.minrank.is_L_matrix
+
+        def slow_is_L_matrix(pattern):
+            time.sleep(0.2)
+            return real(pattern)
+
+        def recording_type(pattern, budget_ms=None):
+            budgets.append(budget_ms)
+            return None
+
+        monkeypatch.setattr(signrank.minrank, "is_L_matrix", slow_is_L_matrix)
+        monkeypatch.setattr(signrank.minrank, "mr_le_n_minus_2", recording_type)
+        assert mr_eq_n_minus_1(EXAMPLE, budget_ms=1000)
+        assert len(budgets) == 1 and 0 <= budgets[0] <= 1000 - 200
+
     def test_agrees_with_ladder(self):
         rng = Random(11)
         for _ in range(60):

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from signrank import minrank, rank2, realize
+from signrank import errors, minrank, rank2, realize
 from signrank.covectors import sign_vectors
 from signrank.errors import BudgetExceededError, DimensionError
 from signrank.rank2 import (
@@ -603,7 +603,7 @@ class TestFindPlaneType:
                 cls.reads += 1
                 return 0.0
 
-        monkeypatch.setattr(rank2, "time", Clock)
+        monkeypatch.setattr(errors, "time", Clock)
         identity = [SignVector.from_signs([int(i == j) for j in range(5)]) for i in range(5)]
         assert find_plane_type(identity, 5, budget_ms=1000) is None
         assert 1 + 12120 // (1024 + 15) <= Clock.reads - 1 <= 1 + 12120 // 1024

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import signrank.errors
 import signrank.rank3
 from signrank.errors import BudgetExceededError, DimensionError
 from signrank.minrank import min_rank
@@ -131,6 +132,39 @@ class TestSoundness:
         pattern = random_pattern(rng, 8, 8)
         with pytest.raises(BudgetExceededError):
             rank3_search(pattern, VEC, budget_ms=0)
+
+    @pytest.mark.parametrize("pattern, question", [
+        # the corpus pattern p14 (10 x 10): cov is exhausted after 447 nodes in 8 blocks
+        (SignPattern.from_strings([
+            "-0-+0+-+--", "+00++++0+-", "--0+0-0-++", "-+-++-+-00", "+++00+++0-",
+            "-++-0--+0-", "--00-0---+", "++0---+0+-", "+0---+-+0+", "+-00-0-+++",
+        ]), COV),
+        # dense Random(7001) at 7 x 7: vec is exhausted after 2086 nodes in one block
+        (random_pattern(Random(7001), 7, 7), VEC),
+    ])
+    def test_clock_is_read_at_each_block_and_once_per_1024_nodes(self, monkeypatch, pattern, question):
+        class Clock:
+            reads = 0
+
+            @classmethod
+            def monotonic(cls):
+                cls.reads += 1
+                return 0.0
+
+        blocks = []
+        relations = signrank.rank3._relations
+
+        def counting(d, question, top):
+            blocks.append(top)
+            return relations(d, question, top)
+
+        monkeypatch.setattr(signrank.errors, "time", Clock)
+        monkeypatch.setattr(signrank.rank3, "_relations", counting)
+        result = rank3_search(pattern, question, budget_ms=1000)
+        assert result.exhausted and result.nodes > 400
+        reads = Clock.reads - 1  # the first builds the deadline
+        assert len(blocks) <= reads <= len(blocks) + result.nodes // 1024
+        assert reads > result.nodes // 1024
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
