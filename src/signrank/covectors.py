@@ -5,33 +5,26 @@ is enumerated exactly, in integers. B is scaled by the lcm D of its
 denominators, which changes no sign and no ray. The cocircuits, the
 minimal-support sign vectors, come from the (k-1)-row submatrices: the
 signed maximal minors of such a (k-1) x k block of D B, computed by
-Bareiss elimination, span its null space. The full set is the closure of
-the cocircuits under sign-vector composition (u then v fills the zeros of
-u with v), since every covector is a composition of cocircuits (Bjorner,
-Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 3.7).
+Bareiss elimination, span its null space.
 
-The closure is sign-only. It works breadth first over packed (pos, neg)
-masks and canonical indices (`SignVector.sort_key`): base-3 digits on
-disjoint supports add, so the index of u then g is the index of u plus
-that of g restricted to the zeros of u. For each zero set z it caches the
-distinct nonzero restrictions of the generators to z, so u is composed
-only with generators that give something new. Each new vector records
-only the vector and the generator that first reached it, and the indices
-go straight into a bits-backed SignVectorSet.
+The full set is the conformal cover of the cocircuits: a nonzero X is in
+sign(L) exactly when the cocircuits conformal to X (each nonzero
+coordinate of one agrees with X) cover supp(X), since every covector is a
+conformal composition of cocircuits (Bjorner, Las Vergnas, Sturmfels,
+White & Ziegler, Oriented Matroids, 3.7). `signs.conformal_cover` decides
+it for every candidate, bitsliced over the last six coordinates and walked
+over the leading ones, and composes nothing.
 
-Witnesses are replayed on first read. `SubspaceSignReport.witnesses`
-walks that record in closure order and gives every sign vector an exact
-integer witness x with sign(Bx) equal to it, chosen so that (x, Bx) is a
-primitive integer vector: the parent's witness plus a positive step of
-the generator, chosen by cross-multiplication so that every nonzero
-coordinate keeps its sign. No feasibility solve is needed per vector,
-and a caller that reads only signs or sizes does no witness arithmetic.
+Witnesses are built on first read. `SubspaceSignReport.witnesses` gives
+every sign vector X, in canonical order, the sum of the integer witnesses
+of the cocircuits conformal to X: each image agrees with X wherever it is
+nonzero, so the sum has X's signs on the union of their supports. The sum
+is scaled so that (x, Bx) is a primitive integer vector, and its image
+signs are re-checked. No feasibility solve is needed per vector, and a
+caller that reads only signs or sizes does no witness arithmetic.
 
-Membership queries need no closure. A nonzero X is in sign(L) exactly
-when the cocircuits conformal to X (each nonzero coordinate of one agrees
-with X) cover supp(X), since every covector is a conformal composition of
-cocircuits (Bjorner et al. 3.7); the sum of their integer witnesses then
-has image signs X. member_witness reads the cocircuits of a basis from a
+Membership queries need no enumeration: member_witness runs the same
+cover test and sum for one X. It reads the cocircuits of a basis from a
 small cache, along with the rows of D B that re-check each witness in
 integers, so repeated queries against one subspace build them once.
 
@@ -53,7 +46,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionError, InternalCheckError
 from .rational import RationalMatrix, RationalSubspace, integer_determinant, orth_complement, rref
-from .signs import SignVector, SignVectorSet, canonical_index, set_perp, sign_of_vector
+from .signs import SignVector, SignVectorSet, conformal_cover, set_perp, sign_of_vector
 
 __all__ = [
     "SubspaceSignReport",
@@ -66,12 +59,6 @@ __all__ = [
     "random_subspace",
 ]
 
-# sign(L) is kept as 3^n bits over the canonical index while that costs at
-# most this many bits per member, well under the hundred-odd bytes of
-# objects a member of a vector-backed set costs; a sparser set (a line in a
-# long ambient space, say) stays vector-backed and never allocates 3^n bits.
-_BITS_PER_MEMBER = 256
-
 # bases whose cocircuits member_witness keeps: realize_corank2 asks one
 # complement once per column, and the witness benchmark cycles 19 bases
 _COCIRCUIT_CACHE_SIZE = 32
@@ -81,20 +68,18 @@ _COCIRCUIT_CACHE_SIZE = 32
 class SubspaceSignReport:
     """sign(L), with one integer witness per sign vector built on first read.
 
-    `sign_vectors` closes over signs alone and records how it reached each
-    vector. `witnesses` replays the witness steps along that record the
-    first time it is read and keeps the result: witnesses[s] is a
-    coefficient vector x (in terms of the basis columns) with
-    sign(basis . x) = s, scaled to primitive integers, in closure order.
+    `sign_vectors` finds the signs alone and keeps the cocircuits it found
+    them from. `witnesses` is built the first time it is read and kept:
+    witnesses[s] is a coefficient vector x (in terms of the basis columns)
+    with sign(basis . x) = s, the sum of the witnesses of the cocircuits
+    conformal to s, scaled so that (x, basis . x) is a primitive integer
+    vector, in canonical order.
     """
 
     subspace: RationalSubspace
     signs: SignVectorSet
-    # the record: (coeff, image) of each generator, and (pos, neg, canonical
-    # index, parent, generator) of each nonzero vector in the order the
-    # closure reached it; parent indexes the steps, -1 for a generator itself
-    _generators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(repr=False)
-    _steps: tuple[tuple[int, int, int, int, int], ...] = field(repr=False)
+    # (pos, neg, coeff, image) of each cocircuit, as _cocircuit_candidates gives them
+    _cocircuits: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...] = field(repr=False)
 
     def __post_init__(self):
         if len(self.signs) % 2 != 1:
@@ -107,18 +92,19 @@ class SubspaceSignReport:
     @cached_property
     def witnesses(self) -> dict[SignVector, tuple[int, ...]]:
         n, k = self.subspace.ambient_dim, self.subspace.dim
-        witnesses = {SignVector.zero(n): (0,) * k}
-        built = []
-        for p, q, _, parent, gen in self._steps:
-            coeff, img = self._generators[gen]
-            if parent >= 0:
-                coeff, img = _compose_witness(*built[parent], coeff, img)
-            built.append((coeff, img))
-            if _pack_signs(img) != (p, q):
+        witnesses = {}
+        for s in self.signs:
+            pos, neg = s.pos, s.neg
+            coeff, image = [0] * k, [0] * n
+            for p, q, c, v in self._cocircuits:
+                if p & ~pos or q & ~neg:
+                    continue
+                coeff = [a + b for a, b in zip(coeff, c)]
+                image = [a + b for a, b in zip(image, v)]
+            coeff, image = _reduce_int_pair(coeff, image)
+            if _pack_signs(image) != (pos, neg):
                 raise InternalCheckError("witness image does not match its sign vector")
-            witnesses[SignVector(n, p, q)] = coeff
-        if len(witnesses) != len(self.signs) or not all(s in self.signs for s in witnesses):
-            raise InternalCheckError("witness map does not cover the sign set")
+            witnesses[s] = coeff
         return witnesses
 
     def verify_witnesses(self) -> bool:
@@ -163,8 +149,7 @@ def _cocircuit_candidates(basis: RationalMatrix) -> tuple[tuple[int, int, tuple,
     c is the vector of signed maximal minors of the (k-1) x k block of the
     integer matrix D B, where D is the lcm of B's denominators. Covers every
     minimal-support nonzero sign vector of the column span; extra
-    non-minimal hits are covectors too, so harmless for the closure and
-    for the conformal cover.
+    non-minimal hits are covectors too, so harmless for the conformal cover.
     """
     n, k = basis.rows, basis.cols
     scale, rows = _integer_rows(basis)
@@ -199,81 +184,13 @@ def _cached_cocircuits(basis: RationalMatrix) -> tuple[tuple, tuple]:
     return _integer_rows(basis)[1], _cocircuit_candidates(basis)
 
 
-def _compose_witness(
-    u_coeff: tuple, u_img: tuple, g_coeff: tuple, g_img: tuple
-) -> tuple[tuple, tuple]:
-    """Integer witness for the composition: u plus a small positive step of g.
-
-    The step a/b = min |u_i| / (2 |g_i|) over the common support keeps every
-    nonzero coordinate of u's sign while zeros of u take g's sign; the
-    minimum is found by cross-multiplication and the result is reduced to
-    the primitive integer point, so a/b need not be in lowest terms.
-    """
-    a, b = 0, 1
-    for ui, gi in zip(u_img, g_img):
-        if ui and gi:
-            num = ui if ui > 0 else -ui
-            den = 2 * gi if gi > 0 else -2 * gi
-            if not a or num * b < a * den:
-                a, b = num, den
-    if not a:
-        a = 1
-    coeff = [b * u + a * g for u, g in zip(u_coeff, g_coeff)]
-    image = [b * u + a * g for u, g in zip(u_img, g_img)]
-    return _reduce_int_pair(coeff, image)
-
-
 def sign_vectors(subspace: RationalSubspace) -> SubspaceSignReport:
-    """The exact set {sign(v) : v in L}; each vector's integer witness is
-    built when the report's `witnesses` is first read."""
-    n = subspace.ambient_dim
-    gens = []
-    if subspace.dim > 0:
-        # deterministic order: canonical order of the packed sign vectors
-        gens = sorted(
-            (canonical_index(n, p, q), p, q, coeff, img)
-            for p, q, coeff, img in _cocircuit_candidates(subspace.basis)
-        )
-    # the candidates are distinct and nonzero, so each seeds the queue; the
-    # queue is the record itself, read in order while it grows
-    steps = [(p, q, key, -1, j) for j, (key, p, q, _, _) in enumerate(gens)]
-    seen = {0}
-    seen.update(key for key, *_ in gens)
-    full = (1 << n) - 1
-    # zero set of u -> restrictions of the generators to it that are distinct
-    # and nonzero, each from the first generator in order that gives it;
-    # composing u with any other generator gives u itself or a vector the
-    # first one already gave
-    restrictions: dict[int, list] = {}
-    for i, (up, uq, ukey, _, _) in enumerate(steps):
-        zeros = full & ~(up | uq)
-        moves = restrictions.get(zeros)
-        if moves is None:
-            moves = []
-            found = set()
-            for j, (_, gp, gq, _, _) in enumerate(gens):
-                rp, rq = gp & zeros, gq & zeros
-                if (rp or rq) and (rp, rq) not in found:
-                    found.add((rp, rq))
-                    moves.append((rp, rq, canonical_index(n, rp, rq), j))
-            restrictions[zeros] = moves
-        for rp, rq, rkey, j in moves:
-            # base-3 digits on disjoint supports add: key(u o g) = key(u) + key(r)
-            wkey = ukey + rkey
-            if wkey not in seen:
-                seen.add(wkey)
-                steps.append((up | rp, uq | rq, wkey, i, j))
-
-    if 3**n <= _BITS_PER_MEMBER * len(seen):
-        signs = SignVectorSet.from_indices(n, seen)
-    else:
-        signs = SignVectorSet(n, [SignVector.zero(n)] + [SignVector(n, p, q) for p, q, *_ in steps])
-    return SubspaceSignReport(
-        subspace,
-        signs,
-        tuple((coeff, img) for *_, coeff, img in gens),
-        tuple(steps),
-    )
+    """The exact set {sign(v) : v in L}, as the conformal cover of its
+    cocircuits; each vector's integer witness is built when the report's
+    `witnesses` is first read."""
+    cocircuits = _cocircuit_candidates(subspace.basis) if subspace.dim > 0 else ()
+    signs = conformal_cover(subspace.ambient_dim, ((p, q) for p, q, _, _ in cocircuits))
+    return SubspaceSignReport(subspace, signs, cocircuits)
 
 
 def member_witness(

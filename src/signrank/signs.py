@@ -10,14 +10,17 @@ canonical index of the vector among all 3^n.
 `set_perp` is bitsliced over that index: a set of length-n vectors is one
 3^n-bit int, and the per-coordinate bitsets P_i / N_i (the indices with +
 / - at coordinate i) turn each member's orthogonality test into a few
-big-int operations. A SignVectorSet is either built from vectors (a
-sorted tuple and a frozenset, no 3^n allocation, however long the
-vectors) or holds 3^n bits, from `set_perp` or from the canonical indices
-of its members (`SignVectorSet.from_indices`), and decodes its members
-lazily, in canonical order, by base-3 arithmetic. 3^n-bit ints live only
-in `set_perp`, the bits-backed sets, the subset tables (n <= 8) and a
-vector-built set compared with a bits-backed one; no coordinate mask is
-cached.
+big-int operations. `conformal_cover` is bitsliced the same way over the
+last six coordinates and walks the leading ones, so it builds sign(L) from
+the cocircuits of L a 3^6-bit chunk at a time. A SignVectorSet is either
+built from vectors (a sorted tuple and a frozenset, no 3^n allocation,
+however long the vectors) or holds 3^n bits, from `set_perp`,
+`conformal_cover` or the canonical indices of its members
+(`SignVectorSet.from_indices`), and decodes its members lazily, in
+canonical order, by base-3 arithmetic. 3^n-bit ints live only in
+`set_perp`, the bits-backed sets, the subset tables (n <= 8) and a
+vector-built set compared with a bits-backed one; no coordinate mask
+longer than 3^8 bits is cached.
 """
 
 from dataclasses import dataclass
@@ -46,6 +49,7 @@ __all__ = [
     "sign_of_vector",
     "orthogonal",
     "set_perp",
+    "conformal_cover",
     "all_sign_vectors",
     "condense",
     "condense_with_trace",
@@ -574,6 +578,181 @@ def set_perp(vectors, n: int | None = None) -> SignVectorSet:
                     oppose |= p
             bad |= agree ^ oppose
     return SignVectorSet._from_bits(n, ((1 << 3**n) - 1) & ~bad)
+
+
+# A set is kept as 3^n bits while that costs at most this many bits per
+# member, well under the hundred-odd bytes of objects a member of a
+# vector-backed set costs; a sparser set (a line in a long ambient space,
+# say) stays vector-backed and never allocates 3^n bits.
+_BITS_PER_MEMBER = 256
+
+
+def conformal_cover(n: int, generators: Iterable[tuple[int, int]]) -> SignVectorSet:
+    """The length-n sign vectors X whose conformal generators cover supp(X).
+
+    Each generator is a (pos, neg) mask pair; it is conformal to X when X
+    agrees with it on its support. The zero vector is always a member. For
+    generators that include the cocircuits of a subspace L and lie in
+    sign(L), the result is sign(L), since every covector is a conformal
+    composition of cocircuits (Bjorner, Las Vergnas, Sturmfels, White &
+    Ziegler, Oriented Matroids, 3.7).
+
+    The last m = min(n, 6) coordinates are bitsliced: the 3^m indices that
+    share their leading digits form one chunk. Over them, the vectors a
+    generator is conformal to are the AND of the P_i / N_i masks on its low
+    support. A coordinate is covered in a chunk by the OR of that set over
+    the generators alive there whose support holds it; the chunk is the AND
+    of that cover over the nonzero leading coordinates and of (zero or
+    covered) over the low ones. The leading n - m coordinates are walked
+    depth first with the digits 0, +, - in that order, so chunks come in
+    canonical order. A generator stays alive while it is conformal to the
+    prefix; a prefix whose nonzero coordinate lies in no alive support has
+    no member below it and is cut, and a nonzero prefix with one alive
+    generator has that generator as its one member. Every prefix that
+    survives extends to a member when the generators are the covectors
+    above, so the walk costs in proportion to the result, and a sparse
+    result at large n (see `_BITS_PER_MEMBER`) is vector-backed and never
+    allocates 3^n bits.
+    """
+    m = min(n, _LOW_DIGITS)
+    lead = n - m
+    lead_mask = (1 << lead) - 1
+    full = (1 << 3**m) - 1
+    plus_and, minus_and, low_zero = _conjunction_masks(m)
+    generators = list(generators)
+    # per generator, the low-digit vectors it is conformal to and its
+    # support coordinates; per coordinate, bitmasks over the generators that
+    # are + there, and - there
+    conformal = [plus_and[gp >> lead] & minus_and[gq >> lead] for gp, gq in generators]
+    coords = [[i for i in range(n) if (gp | gq) >> i & 1] for gp, gq in generators]
+    pos = _transpose(n, [gp for gp, _ in generators])
+    neg = _transpose(n, [gq for _, gq in generators])
+    support = [p | q for p, q in zip(pos, neg)]
+    chunks = []  # (chunk index, leading pos, leading neg, chunk bits), in canonical order
+
+    def live(alive: int, nonzero: tuple) -> bool:
+        """Whether each nonzero coordinate of a prefix lies in the support
+        of an alive generator."""
+        for j in nonzero:
+            if not alive & support[j]:
+                return False
+        return True
+
+    # prefixes (length, alive generators, chunk index, pos, neg, nonzero
+    # coordinates), children pushed -, +, 0 so that they pop in canonical order
+    stack = [(0, (1 << len(generators)) - 1, 0, 0, 0, ())]
+    push = stack.append
+    while stack:
+        i, alive, index, hp, hn, nonzero = stack.pop()
+        if not alive:
+            # no generator is left to cover a nonzero coordinate, so the
+            # prefix is zero and its one member the zero vector
+            chunks.append((index * 3 ** (lead - i), hp, hn, 1))
+            continue
+        if nonzero and not alive & (alive - 1):
+            # one generator covers a nonzero prefix, so it is the one member
+            gp, gq = generators[alive.bit_length() - 1]
+            hp, hn = gp & lead_mask, gq & lead_mask
+            word = 1 << canonical_index(m, gp >> lead, gq >> lead)
+            chunks.append((canonical_index(lead, hp, hn), hp, hn, word))
+            continue
+        if i == lead:
+            # alive generators are conformal to the prefix, so their support
+            # lies in its nonzero coordinates and the low ones
+            cover = [0] * n
+            while alive:
+                lowest = alive & -alive
+                g = lowest.bit_length() - 1
+                alive ^= lowest
+                allowed = conformal[g]
+                for j in coords[g]:
+                    cover[j] |= allowed
+            word = full
+            for j in nonzero:
+                word &= cover[j]
+            for j in range(lead, n):
+                word &= low_zero[j - lead] | cover[j]
+            if word:
+                chunks.append((index, hp, hn, word))
+            continue
+        bit = 1 << i
+        index *= 3
+        grown = nonzero + (i,)
+        rest = alive & ~pos[i]
+        if rest & neg[i] and (rest == alive or live(rest, nonzero)):
+            push((i + 1, rest, index + 2, hp, hn | bit, grown))
+        rest = alive & ~neg[i]
+        if rest & pos[i] and (rest == alive or live(rest, nonzero)):
+            push((i + 1, rest, index + 1, hp | bit, hn, grown))
+        rest = alive & ~support[i]
+        if rest == alive or live(rest, nonzero):
+            push((i + 1, rest, index, hp, hn, nonzero))
+
+    size = sum(word.bit_count() for *_, word in chunks)
+    if 3**n <= _BITS_PER_MEMBER * size:
+        return SignVectorSet._from_bits(n, _join_chunks(n, chunks))
+    low = _low_digit_masks(n)
+    members = []
+    for _, hp, hn, word in chunks:
+        while word:
+            lowest = word & -word
+            p, q = low[lowest.bit_length() - 1]
+            members.append(SignVector(n, hp | p, hn | q))
+            word ^= lowest
+    return SignVectorSet(n, members)
+
+
+def _transpose(n: int, masks: Sequence[int]) -> list[int]:
+    """For each coordinate i < n, the mask whose bit g is bit i of masks[g]."""
+    if not masks:
+        return [0] * n
+    # the binary digits of mask | 1 << n, past "0b1", are bits n-1 .. 0, so
+    # the rows go in reversed and the columns come out reversed
+    top = 1 << n
+    columns = list(zip(*[bin(mask | top)[3:] for mask in reversed(masks)]))
+    return [int("".join(column), 2) for column in reversed(columns)]
+
+
+@lru_cache(maxsize=8)
+def _conjunction_masks(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Over 3^m bits: for every coordinate mask s < 2^m, the AND of P_i (and
+    of N_i) over the coordinates i in s, all 3^m indices for s = 0; and
+    for each coordinate, the indices with 0 there. m <= 6 only."""
+    full = (1 << 3**m) - 1
+    plus, minus = [full] * (1 << m), [full] * (1 << m)
+    zeros = []
+    for i, (p, q) in enumerate(_coordinate_masks(m)):
+        bit = 1 << i
+        for s in range(bit):
+            plus[bit | s] = plus[s] & p
+            minus[bit | s] = minus[s] & q
+        zeros.append(full & ~(p | q))
+    return tuple(plus), tuple(minus), tuple(zeros)
+
+
+def _join_chunks(n: int, chunks: Sequence[tuple[int, int, int, int]]) -> int:
+    """The 3^n-bit int of the 3^m-bit chunks (index, leading pos, leading
+    neg, bits) of `conformal_cover`, in canonical order."""
+    m = min(n, _LOW_DIGITS)
+    if m == n:
+        return chunks[0][3] if chunks else 0
+    width = 3**m  # eight chunks fill `width` bytes
+    data = bytearray((3**n + 7) // 8)
+
+    def flush(group: int, block: int) -> None:
+        start = group * width
+        end = min(start + width, len(data))
+        data[start:end] = block.to_bytes(width, "little")[: end - start]
+
+    group, block = 0, 0
+    for index, _, _, word in chunks:
+        here, slot = divmod(index, 8)
+        if here != group:
+            flush(group, block)
+            group, block = here, 0
+        block |= word << (slot * width)
+    flush(group, block)
+    return int.from_bytes(data, "little")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 from signrank.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, main
 from signrank.rational import RationalMatrix, RationalSubspace
 from signrank.signs import SignPattern, sign_of
-from test_covectors import reference_sign_vectors
+from test_covectors import reference_cover_witnesses
 
 
 @pytest.fixture
@@ -93,9 +93,9 @@ class TestSigns:
         assert payload["count"] == 13 and payload["dim"] == 2
         assert len(payload["witnesses"]) == 13
 
-    def test_json_witnesses_equal_the_reference_closure(self, capsys, write):
+    def test_json_witnesses_equal_the_reference_cover(self, capsys, write):
         # the witnesses object, key order included, is what the reference
-        # enumerator's witnesses give under the JSON encoder
+        # cover witnesses give under the JSON encoder
         rng = Random(13)
         rows = [" ".join(str(rng.randint(-4, 4)) for _ in range(3)) for _ in range(6)]
         path = write("basis.mat", "\n".join(rows) + "\n")
@@ -104,8 +104,7 @@ class TestSigns:
         payload = json.loads(out)
         columns = RationalMatrix.parse(Path(path).read_text()).columns()
         space = RationalSubspace.from_spanning(6, list(columns))
-        _, witnesses = reference_sign_vectors(space)
-        expected = {sv.to_string(): list(coeff) for sv, coeff in witnesses}
+        expected = {sv.to_string(): list(coeff) for sv, coeff in reference_cover_witnesses(space)}
         assert json.dumps(payload["witnesses"]) == json.dumps(expected, sort_keys=True)
 
     def test_witnesses_reverify_against_reported_basis(self, capsys, write):

@@ -6,8 +6,11 @@ from itertools import combinations
 from math import gcd
 from pathlib import Path
 from random import Random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signrank import covectors
 from signrank.covectors import (
@@ -51,9 +54,11 @@ def brute_force_plane_signs(basis_cols, n, span_range=8):
 
 # Reference enumerator: the original Fraction implementation of
 # sign_vectors. Cocircuits come from Fraction null spaces of (k-1)-row
-# submatrices, the closure composes every vector with every generator, and
-# each witness step is a Fraction. sign_vectors must reproduce its sign
-# sets, its witnesses and its insertion order exactly.
+# submatrices, and the closure composes every vector with every generator
+# until nothing new appears. sign_vectors must reproduce its sign sets.
+# The reference witness of a sign vector is the primitive integer sum of
+# the reference cocircuits conformal to it; sign_vectors must reproduce
+# those witnesses, in canonical order, exactly.
 
 
 def _ref_primitive(coeff, image):
@@ -62,7 +67,8 @@ def _ref_primitive(coeff, image):
         mult = mult * f.denominator // gcd(mult, f.denominator)
     ints = [int(f * mult) for f in coeff] + [int(f * mult) for f in image]
     g = gcd(*ints)
-    ints = [v // g for v in ints]
+    if g:
+        ints = [v // g for v in ints]
     return tuple(ints[: len(coeff)]), tuple(ints[len(coeff) :])
 
 
@@ -91,48 +97,46 @@ def _ref_cocircuit_candidates(basis):
     return [(p, q, c, v) for (p, q), (c, v) in found.items()]
 
 
-def _ref_compose_witness(u_coeff, u_img, g_coeff, g_img):
-    step = None
-    for ui, gi in zip(u_img, g_img):
-        if ui and gi:
-            bound = Fraction(abs(ui), 2 * abs(gi))
-            if step is None or bound < step:
-                step = bound
-    if step is None:
-        step = Fraction(1)
-    a, b = step.numerator, step.denominator
-    coeff = [b * u + a * g for u, g in zip(u_coeff, g_coeff)]
-    image = [b * u + a * g for u, g in zip(u_img, g_img)]
-    g = gcd(*coeff, *image)
-    return tuple(v // g for v in coeff), tuple(v // g for v in image)
-
-
 def reference_sign_vectors(subspace):
-    """(sign vectors in canonical order, witnesses in insertion order)."""
+    """sign(L) in canonical order, by breadth-first composition closure."""
     n, k = subspace.ambient_dim, subspace.dim
-    known = {(0, 0): ((0,) * k, (0,) * n)}
+    known = {(0, 0)}
     if k > 0:
-        generators = _ref_cocircuit_candidates(subspace.basis)
-        generators.sort(key=lambda g: SignVector(n, g[0], g[1]).sort_key())
-        queue = deque()
-        for p, q, coeff, img in generators:
-            if (p, q) not in known:
-                known[(p, q)] = (coeff, img)
-                queue.append((p, q))
-        gens = [(p, q, known[(p, q)]) for p, q, _, _ in generators]
+        generators = [(p, q) for p, q, _, _ in _ref_cocircuit_candidates(subspace.basis)]
+        known.update(generators)
+        queue = deque(generators)
+        # u then g depends only on g restricted to the zeros of u
+        restrictions = {}
         while queue:
             up, uq = queue.popleft()
-            u_coeff, u_img = known[(up, uq)]
-            usupp = up | uq
-            for gp, gq, (g_coeff, g_img) in gens:
-                w = (up | (gp & ~usupp), uq | (gq & ~usupp))
-                if w in known or w == (up, uq):
-                    continue
-                known[w] = _ref_compose_witness(u_coeff, u_img, g_coeff, g_img)
-                queue.append(w)
-    witnesses = [(SignVector(n, p, q), coeff) for (p, q), (coeff, _) in known.items()]
-    vectors = sorted((sv for sv, _ in witnesses), key=SignVector.sort_key)
-    return vectors, witnesses
+            zeros = ~(up | uq)
+            if zeros not in restrictions:
+                restrictions[zeros] = {(gp & zeros, gq & zeros) for gp, gq in generators}
+            for rp, rq in restrictions[zeros]:
+                w = (up | rp, uq | rq)
+                if w not in known:
+                    known.add(w)
+                    queue.append(w)
+    return sorted((SignVector(n, p, q) for p, q in known), key=SignVector.sort_key)
+
+
+def reference_cover_witnesses(subspace):
+    """(sign vector, witness) over sign(L) in canonical order: the sum of
+    the reference cocircuits conformal to it, made primitive."""
+    n, k = subspace.ambient_dim, subspace.dim
+    cocircuits = _ref_cocircuit_candidates(subspace.basis) if k > 0 else []
+    out = []
+    for sv in reference_sign_vectors(subspace):
+        coeff, image = [0] * k, [0] * n
+        for p, q, c, v in cocircuits:
+            if p & ~sv.pos or q & ~sv.neg:
+                continue
+            coeff = [a + b for a, b in zip(coeff, c)]
+            image = [a + b for a, b in zip(image, v)]
+        coeff, image = _ref_primitive(coeff, image)
+        assert sign_of_vector(image) == sv
+        out.append((sv, coeff))
+    return out
 
 
 class TestSignVectors:
@@ -180,19 +184,58 @@ class TestSignVectors:
                 for _ in range(3):
                     space = random_subspace(n, k, rng)
                     report = sign_vectors(space)
-                    vectors, witnesses = reference_sign_vectors(space)
-                    assert list(report.signs.vectors) == vectors
-                    assert list(report.witnesses.items()) == witnesses
+                    assert list(report.signs.vectors) == reference_sign_vectors(space)
+                    assert list(report.witnesses.items()) == reference_cover_witnesses(space)
 
     def test_matches_fraction_reference_on_complements(self):
         rng = Random(71)
         for n in range(2, 7):
             for k in range(1, n):
                 space = orth_complement(random_subspace(n, k, rng))
-                vectors, witnesses = reference_sign_vectors(space)
                 report = sign_vectors(space)
-                assert list(report.signs.vectors) == vectors
-                assert list(report.witnesses.items()) == witnesses
+                assert list(report.signs.vectors) == reference_sign_vectors(space)
+                assert list(report.witnesses.items()) == reference_cover_witnesses(space)
+
+    def test_matches_the_reference_past_the_first_chunk(self):
+        # from n = 7 on, the leading coordinates are walked and the last six
+        # bitsliced; n = 10 has 81 chunks and crosses the 3^n <= 256 |set|
+        # switch between bits- and vector-backed results
+        rng = Random(73)
+        for n in range(7, 11):
+            for k in range(0, n + 1):
+                space = random_subspace(n, k, rng)
+                signs = sign_vectors(space).signs
+                assert list(signs) == reference_sign_vectors(space)
+                # bits-backed exactly when 3^n bits cost at most 256 per member
+                assert (signs._lookup is None) == (3**n <= 256 * len(signs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=n
+            )
+        )
+    )
+    def test_matches_the_reference_on_small_integer_spans(self, columns):
+        space = RationalSubspace.from_spanning(len(columns[0]), columns)
+        assert list(sign_vectors(space).signs) == reference_sign_vectors(space)
+
+    def test_sparse_sets_in_long_ambient_spaces_stay_vector_backed(self):
+        # 3^20 bits would be 436 MB; a line has 3 sign vectors, a plane at
+        # most 4n + 1
+        rng = Random(79)
+        for k in (1, 2):
+            space = random_subspace(20, k, rng)
+            tracemalloc.start()
+            try:
+                signs = sign_vectors(space).signs
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2**20
+            assert signs._lookup is not None
+            assert list(signs) == reference_sign_vectors(space)
 
     def test_witness_is_primitive_on_the_rational_ray(self):
         # (x, Bx) = (6, (3, 2)) is the primitive integer point; scaling each
@@ -249,15 +292,15 @@ class TestSignVectors:
 
 class TestSignOnlyCallers:
     def test_build_no_witness(self, monkeypatch):
-        # the closure is sign-only; witnesses are replayed only when read
-        def forbidden(*args):
-            raise AssertionError("a sign-only caller composed a witness")
+        # the cover is sign-only; witnesses are built only when read
+        def forbidden(report):
+            raise AssertionError("a sign-only caller built a witness")
 
         rng = Random(83)
         spaces = [random_subspace(n, k, rng) for n in range(1, 8) for k in range(n + 1)]
         reports = []
         with monkeypatch.context() as patch:
-            patch.setattr(covectors, "_compose_witness", forbidden)
+            patch.setattr(covectors.SubspaceSignReport, "witnesses", property(forbidden))
             for space in spaces:
                 assert verify_duality(space).ok
                 assert same_sign_dim_check(space, space)
@@ -265,9 +308,8 @@ class TestSignOnlyCallers:
                 assert len(report.signs) >= 3**space.dim
                 reports.append(report)
         for space, report in zip(spaces, reports):
-            vectors, witnesses = reference_sign_vectors(space)
-            assert list(report.signs.vectors) == vectors
-            assert list(report.witnesses.items()) == witnesses
+            assert list(report.signs.vectors) == reference_sign_vectors(space)
+            assert list(report.witnesses.items()) == reference_cover_witnesses(space)
 
 
 class TestMemberWitness:

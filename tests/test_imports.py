@@ -1,7 +1,8 @@
-"""Module boundaries: package modules import only each other's public names,
-every name the benchmark wraps is still bound where it wraps it, the two
-traced names that nothing calls stay uncalled, and only the deadline and
-the selftest log read the clock."""
+"""Module boundaries: package modules import only each other's public names
+and read no other module's private attributes, every name the benchmark
+wraps is still bound where it wraps it, the two traced names that nothing
+calls stay uncalled, and only the deadline and the selftest log read the
+clock."""
 
 import ast
 import importlib
@@ -41,6 +42,70 @@ def test_no_module_imports_a_private_sibling_name():
         path.name: names
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         if (names := private_sibling_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_attribute_reads(source: str) -> list[str]:
+    """Underscore attributes that `source` reads on anything but self or cls
+    and does not define itself (as a def, a class, an assignment target, a
+    `__slots__` entry or a name passed to setattr), with their line numbers."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for part in ast.walk(target):
+                    if isinstance(part, ast.Name):
+                        defined.add(part.id)
+                    elif isinstance(part, ast.Attribute):
+                        defined.add(part.attr)
+            if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+                defined.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("setattr", "__setattr__") and isinstance(node.args[1], ast.Constant):
+                defined.add(node.args[1].value)
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and _is_private(node.attr)
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            and node.attr not in defined
+        ):
+            found.append(f"{node.attr}:{node.lineno}")
+    return sorted(found, key=lambda entry: int(entry.split(":")[1]))
+
+
+def test_attribute_detector_sees_reads_defined_elsewhere():
+    source = (
+        "class Bits:\n"
+        "    __slots__ = ('_bits',)\n"
+        "    def _decode(self):\n        return self._table, cls._width\n"
+        "def read(x, other):\n"
+        "    object.__setattr__(x, '_cache', 1)\n"
+        "    x._count = 0\n"
+        "    return x._bits, x._decode(), x._cache, x._count, x.__class__, other._lookup\n"
+        "total = signs.SignVectorSet._from_bits(3, 0)\n"
+    )
+    assert private_attribute_reads(source) == ["_lookup:8", "_from_bits:9"]
+
+
+def test_no_module_reads_a_private_attribute_it_does_not_define():
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (found := private_attribute_reads(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
 

@@ -1,5 +1,6 @@
 """Rank-2 certificates, realizations, and type enumeration."""
 
+import signal
 import time
 from itertools import product
 from pathlib import Path
@@ -584,12 +585,25 @@ class TestFindPlaneType:
     def test_budget_bounds_a_wide_search(self):
         # the identity lines at n = 26 admit no plane; the first partition
         # alone has 2^25 orientations, which the search must not hold at once
+        # the n = 26 search does not end by itself, so a watchdog fails the
+        # test after 10 s rather than letting a search that ignores its
+        # deadline hang the suite
         n = 26
         identity = [SignVector.from_signs([int(i == j) for j in range(n)]) for i in range(n)]
-        start = time.monotonic()
-        with pytest.raises(BudgetExceededError):
-            find_plane_type(identity, n, budget_ms=50)
-        assert time.monotonic() - start < 5.0
+
+        def overrun(signum, frame):
+            pytest.fail("find_plane_type ran past its 50 ms budget for 10 s")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            start = time.monotonic()
+            with pytest.raises(BudgetExceededError):
+                find_plane_type(identity, n, budget_ms=50)
+            assert time.monotonic() - start < 5.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_clock_is_read_once_per_1024_types(self, monkeypatch):
         # the identity lines exhaust all 12,120 types of n = 5; the clock is

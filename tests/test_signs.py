@@ -20,6 +20,7 @@ from signrank.signs import (
     SignVectorSet,
     all_sign_vectors,
     condense,
+    conformal_cover,
     condense_with_trace,
     max_rank,
     orthogonal,
@@ -402,6 +403,32 @@ class TestSetPerp:
         with pytest.raises(DimensionError):
             set_perp(SignVectorSet(3, members), n=5)
         assert set_perp(SignVectorSet(3, members), n=3) == set_perp(members, n=3)
+
+
+def brute_cover(generators, n):
+    """The vectors X whose conformal generators cover supp(X), by definition."""
+    out = []
+    for x in all_sign_vectors(n):
+        covered = 0
+        for g in generators:
+            if not (g.pos & ~x.pos or g.neg & ~x.neg):
+                covered |= g.pos | g.neg
+        if covered == x.pos | x.neg:
+            out.append(x)
+    return out
+
+
+class TestConformalCover:
+    def test_matches_the_definition_on_seeded_generators(self):
+        # any generators, not only covectors: the walk's cut must be sound
+        # by itself; n = 7, 8 walk one and two leading coordinates
+        for n, members in seeded_member_lists(59, range(0, 9), 4):
+            got = conformal_cover(n, [(g.pos, g.neg) for g in members])
+            assert list(got) == brute_cover(members, n)
+
+    def test_no_generators_leave_the_zero_vector(self):
+        for n in (0, 3, 7, 12):
+            assert conformal_cover(n, []).to_strings() == ["0" * n]
 
 
 class TestCondense:
