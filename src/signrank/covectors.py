@@ -2,10 +2,10 @@
 
 For a subspace L given by a basis matrix B (columns spanning L), sign(L)
 is enumerated exactly, in integers. B is scaled by the lcm D of its
-denominators, which changes no sign and no ray. The cocircuits, the
-minimal-support sign vectors, come from the (k-1)-row submatrices: the
-signed maximal minors of such a (k-1) x k block of D B, computed by
-Bareiss elimination, span its null space.
+denominators (`rational.integer_rows`), which changes no sign and no ray.
+The cocircuits, the minimal-support sign vectors, come from the (k-1)-row
+submatrices: a (k-1) x k block of D B of full rank has a one-dimensional
+kernel, whose integer basis vector `rational.integer_nullspace` gives.
 
 The full set is the conformal cover of the cocircuits: a nonzero X is in
 sign(L) exactly when the cocircuits conformal to X (each nonzero
@@ -39,13 +39,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InternalCheckError
-from .rational import RationalMatrix, RationalSubspace, integer_determinant, orth_complement, rref
+from .rational import RationalMatrix, RationalSubspace, integer_nullspace, integer_rows, orth_complement, rref
 from .signs import SignVector, SignVectorSet, conformal_cover, set_perp, sign_of_vector
 
 __all__ = [
@@ -135,37 +135,26 @@ def _pack_signs(values: Sequence[int]) -> tuple[int, int]:
     return pos, neg
 
 
-def _integer_rows(basis: RationalMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """D, the lcm of B's denominators, and the rows of the integer matrix D B."""
-    scale = lcm(*(e.denominator for row in basis.data for e in row))
-    return scale, tuple(
-        tuple(e.numerator * (scale // e.denominator) for e in row) for row in basis.data
-    )
-
-
 def _cocircuit_candidates(basis: RationalMatrix) -> tuple[tuple[int, int, tuple, tuple], ...]:
     """Sign vectors of B c for c spanning null spaces of (k-1)-row submatrices.
 
-    c is the vector of signed maximal minors of the (k-1) x k block of the
-    integer matrix D B, where D is the lcm of B's denominators. Covers every
-    minimal-support nonzero sign vector of the column span; extra
-    non-minimal hits are covectors too, so harmless for the conformal cover.
+    c spans the kernel of the (k-1) x k block of the integer matrix D B,
+    where D is the lcm of B's denominators. Covers every minimal-support
+    nonzero sign vector of the column span; extra non-minimal hits are
+    covectors too, so harmless for the conformal cover.
     """
     n, k = basis.rows, basis.cols
-    scale, rows = _integer_rows(basis)
+    scale, rows = integer_rows(basis.data)
     found: dict[tuple[int, int], tuple[tuple, tuple]] = {}
     for subset in combinations(range(n), k - 1):
-        sub = [rows[i] for i in subset]
-        minors = [
-            (-1) ** j * integer_determinant([row[:j] + row[j + 1 :] for row in sub])
-            for j in range(k)
-        ]
-        if not any(minors):
+        kernel = integer_nullspace([rows[i] for i in subset], k)
+        if len(kernel) != 1:
             continue  # dependent rows; the line is covered by a smaller independent subset
+        (c,) = kernel
         # (D c, D B c) is an integer point on the ray of (c, B c)
         coeff, img = _reduce_int_pair(
-            [scale * c for c in minors],
-            [sum(a * b for a, b in zip(row, minors)) for row in rows],
+            [scale * v for v in c],
+            [sum(map(mul, row, c)) for row in rows],
         )
         key = _pack_signs(img)
         if key not in found:
@@ -181,7 +170,7 @@ def _cocircuit_candidates(basis: RationalMatrix) -> tuple[tuple[int, int, tuple,
 def _cached_cocircuits(basis: RationalMatrix) -> tuple[tuple, tuple]:
     """What member_witness reads of a basis: the rows of D B, for the
     re-check in integers, and the cocircuits."""
-    return _integer_rows(basis)[1], _cocircuit_candidates(basis)
+    return integer_rows(basis.data)[1], _cocircuit_candidates(basis)
 
 
 def sign_vectors(subspace: RationalSubspace) -> SubspaceSignReport:

@@ -44,13 +44,13 @@ exhausted. Each call has one Deadline, shared by search and placement.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import itemgetter, mul
 from typing import Iterator, Optional
 
 from .covectors import member_witness
 from .errors import Deadline, DimensionError, InternalCheckError
-from .rational import RationalMatrix, RationalSubspace, orth_complement, rank
+from .rational import RationalMatrix, RationalSubspace, integer_rows, orth_complement, rank
 from .signs import SignPattern, sign_of
 
 __all__ = ["COV", "VEC", "Rank3Exhausted", "Rank3Result", "rank3_search"]
@@ -488,8 +488,7 @@ def _factor(pattern: SignPattern, question: str, points: list) -> RationalMatrix
     bound = 3
     if question == VEC:
         space, bound = orth_complement(space), d - 3
-    scale = lcm(*(e.denominator for row in space.basis.data for e in row))
-    v_columns = [[int(e * scale) for e in row] for row in space.basis.data]
+    _, v_columns = integer_rows(space.basis.data)
     rows = []
     for row in pattern.row_vectors:
         x = member_witness(space, row)

@@ -1,13 +1,17 @@
-"""Exact rational linear algebra on dense Fraction matrices.
+"""Exact rational linear algebra, eliminated in integers.
 
 Everything is immutable and pure: operations return new objects and never
 round. Matrices are dense on purpose; dimensions in this package stay at
-desk scale (well under ~20 in each direction). There is no feasibility
-solver here: strict feasibility is a sign-vector question, answered in
-covectors by a conformal cover of cocircuits.
+desk scale (well under ~20 in each direction). A RationalMatrix holds
+Fractions, but no elimination divides by them: every one scales the rows
+to integers (`integer_rows`) and runs the one fraction-free Gauss-Jordan
+elimination below, and Fractions appear again only in what it returns.
+There is no feasibility solver here: strict feasibility is a sign-vector
+question, answered in covectors by a conformal cover of cocircuits.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, ParseError, SingularBlockError
@@ -19,7 +23,8 @@ __all__ = [
     "format_rational",
     "rref",
     "rank",
-    "integer_determinant",
+    "integer_rows",
+    "integer_nullspace",
     "nullspace_basis",
     "orth_complement",
     "schur_complement",
@@ -185,93 +190,76 @@ class RationalMatrix:
         return "\n".join(" ".join(format_rational(e) for e in row) for row in self.data) + "\n"
 
 
-def _rref_grid(grid: list[list[Fraction]]) -> tuple[int, ...]:
-    """In-place reduced row echelon form; returns the pivot columns."""
+def integer_rows(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """D, the lcm of the entries' denominators, and the rows of D times
+    the matrix, which are integers. Scaling changes no sign, rank or
+    kernel."""
+    scale = lcm(*(e.denominator for row in rows for e in row))
+    return scale, tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in rows)
+
+
+def _eliminate(grid: list) -> tuple[tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss,
+    Math. Comp. 22, 1968); returns the pivot columns and the last pivot d.
+
+    The list is reduced in place: rows are swapped and replaced, never
+    mutated. Afterwards each pivot row holds d at its pivot and 0 at the
+    other pivots, and the rows below the pivot rows are zero, so the rows
+    over d are the reduced row echelon form. Every entry stays a minor of
+    the input, so each division by the previous pivot is exact.
+    """
     nrows = len(grid)
     ncols = len(grid[0]) if grid else 0
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if grid[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if grid[i][c]), None)
         if pivot_row is None:
             continue
         grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        pv = grid[r][c]
-        if pv != 1:
-            grid[r] = [e / pv for e in grid[r]]
         lead = grid[r]
+        pivot = lead[c]
         for i in range(nrows):
-            f = grid[i][c]
-            if i != r and f:
-                grid[i] = [a - f * b for a, b in zip(grid[i], lead)]
+            if i != r:
+                f = grid[i][c]
+                grid[i] = [(pivot * a - f * b) // prev for a, b in zip(grid[i], lead)]
         pivots.append(c)
+        prev = pivot
         r += 1
         if r == nrows:
             break
-    return tuple(pivots)
+    return tuple(pivots), prev
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Unique reduced row echelon form and its pivot columns."""
-    grid = [list(row) for row in matrix.data]
-    pivots = _rref_grid(grid)
-    return RationalMatrix(grid, cols=matrix.cols), pivots
+    grid = list(integer_rows(matrix.data)[1])
+    pivots, d = _eliminate(grid)
+    return RationalMatrix([[Fraction(e, d) for e in row] for row in grid], cols=matrix.cols), pivots
 
 
 def rank(matrix: RationalMatrix) -> int:
-    grid = [list(row) for row in matrix.data]
-    return len(_rref_grid(grid))
+    pivots, _ = _eliminate(list(integer_rows(matrix.data)[1]))
+    return len(pivots)
 
 
-def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+def integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Integer basis of {x : Rx = 0} for integer rows R of length ncols.
 
-    Fraction-free: every intermediate entry is a minor of the input, so each
-    division by the previous pivot is exact. A zero pivot is replaced by a
-    lower row, flipping the sign. The empty 0x0 matrix has determinant 1.
+    One vector per non-pivot column f of R's elimination: d at f, 0 at the
+    other non-pivot columns, and minus the reduced row's entry in column f
+    at each pivot. Its last nonzero entry is d, at f. The input is not
+    modified.
     """
-    grid = [list(row) for row in rows]
-    size = len(grid)
-    if any(len(row) != size for row in grid):
-        raise DimensionError("determinant of a non-square matrix")
-    if not size:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(size - 1):
-        if not grid[c][c]:
-            swap = next((i for i in range(c + 1, size) if grid[i][c]), None)
-            if swap is None:
-                return 0
-            grid[c], grid[swap] = grid[swap], grid[c]
-            sign = -sign
-        lead = grid[c]
-        pivot = lead[c]
-        for i in range(c + 1, size):
-            row = grid[i]
-            f = row[c]
-            for j in range(c + 1, size):
-                row[j] = (pivot * row[j] - f * lead[j]) // prev
-        prev = pivot
-    return sign * grid[-1][-1]
-
-
-def _nullspace_columns(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple]:
-    """Basis columns of {x : Rx = 0} for the given constraint rows."""
-    grid = [list(r) for r in rows]
-    pivots = _rref_grid(grid) if grid else ()
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    grid = list(rows)
+    pivots, d = _eliminate(grid)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -grid[r][f]
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[f] = d
+        for row, p in zip(grid, pivots):
+            vec[p] = -row[f]
         basis.append(tuple(vec))
     return basis
 
@@ -299,10 +287,8 @@ class RationalSubspace:
         for v in rows:
             if len(v) != ambient_dim:
                 raise DimensionError("spanning vector length does not match ambient dimension")
-        grid = [list(v) for v in rows]
-        pivots = _rref_grid(grid) if grid else ()
-        independent = [tuple(grid[i]) for i in range(len(pivots))]
-        return cls(ambient_dim, RationalMatrix.from_columns(independent, rows=ambient_dim))
+        reduced, pivots = rref(RationalMatrix(rows, cols=ambient_dim))
+        return cls(ambient_dim, RationalMatrix.from_columns(reduced.data[: len(pivots)], rows=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "RationalSubspace":
@@ -338,8 +324,16 @@ class RationalSubspace:
 
 
 def nullspace_basis(matrix: RationalMatrix) -> RationalSubspace:
-    """The solution space {x : Mx = 0} as a subspace of Q^cols."""
-    cols = _nullspace_columns(matrix.data, matrix.cols)
+    """The solution space {x : Mx = 0} as a subspace of Q^cols.
+
+    The basis vector of each non-pivot column of M's reduced form is 1
+    there and 0 at the other non-pivot columns: the integer kernel vector
+    over its last nonzero entry.
+    """
+    cols = []
+    for vec in integer_nullspace(integer_rows(matrix.data)[1], matrix.cols):
+        d = next(v for v in reversed(vec) if v)
+        cols.append(tuple(Fraction(v, d) for v in vec))
     return RationalSubspace(matrix.cols, RationalMatrix.from_columns(cols, rows=matrix.cols))
 
 
@@ -355,10 +349,10 @@ def schur_complement(matrix: RationalMatrix, block: int) -> RationalMatrix:
     n = block
     q = matrix.cols - n
     # solve D X = C by reducing [D | C]; no inverse of D is formed
-    grid = [list(row) for row in matrix.data[:n]]
-    if _rref_grid(grid) != tuple(range(n)):
+    reduced, pivots = rref(RationalMatrix(matrix.data[:n], cols=matrix.cols))
+    if pivots != tuple(range(n)):
         raise SingularBlockError("leading block is singular")
-    x = RationalMatrix([row[n:] for row in grid], cols=q)
+    x = RationalMatrix([row[n:] for row in reduced.data], cols=q)
     bottom = matrix.data[n:]
     bx = RationalMatrix([row[:n] for row in bottom], cols=n).mul(x)
     return RationalMatrix([[e - v for e, v in zip(row[n:], r)] for row, r in zip(bottom, bx.data)], cols=q)

@@ -183,3 +183,41 @@ def test_only_the_deadline_and_selftest_read_the_clock():
         if (found := calls_to(path.read_text(encoding="utf-8"), ("monotonic", "perf_counter")))
     }
     assert readers == {}
+
+
+def names_imported(source: str, names) -> list[str]:
+    """Any of `names` that `source` imports with `from ... import` or reads
+    as a module attribute (math.lcm), with their line numbers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{alias.name}:{node.lineno}" for alias in node.names if alias.name in names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.attr in names:
+            found.append(f"{node.attr}:{node.lineno}")
+    return sorted(found, key=lambda entry: int(entry.split(":")[1]))
+
+
+def test_import_detector_sees_from_imports_and_module_attributes():
+    source = (
+        "from math import gcd, lcm\n"
+        "import math\n"
+        "scale = math.lcm(2, 3)\n"
+        "def lcm(a, b):\n    return a * b\n"
+        "x = lcm(1, 2)\n"
+        "from fractions import Fraction\n"
+    )
+    assert names_imported(source, ("lcm",)) == ["lcm:1", "lcm:3"]
+
+
+# rational.integer_rows is the one place where rationals become integers
+LCM_IMPORTERS = ("rational.py",)
+
+
+def test_only_rational_scales_by_an_lcm():
+    importers = {
+        path.name: found
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name not in LCM_IMPORTERS
+        if (found := names_imported(path.read_text(encoding="utf-8"), ("lcm",)))
+    }
+    assert importers == {}

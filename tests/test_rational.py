@@ -17,7 +17,8 @@ from signrank.rational import (
     RationalMatrix,
     RationalSubspace,
     format_rational,
-    integer_determinant,
+    integer_nullspace,
+    integer_rows,
     nullspace_basis,
     orth_complement,
     parse_rational,
@@ -80,6 +81,102 @@ class TestParsing:
             RationalMatrix.parse("1 2\n3\n")
 
 
+def reference_rref(grid: list[list[Fraction]]) -> tuple[int, ...]:
+    """In-place reduced row echelon form over Fractions, dividing by each
+    pivot as it goes; returns the pivot columns. The elimination that the
+    fraction-free kernel replaced, kept as its oracle."""
+    nrows = len(grid)
+    ncols = len(grid[0]) if grid else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if grid[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+        pv = grid[r][c]
+        if pv != 1:
+            grid[r] = [e / pv for e in grid[r]]
+        lead = grid[r]
+        for i in range(nrows):
+            f = grid[i][c]
+            if i != r and f:
+                grid[i] = [a - f * b for a, b in zip(grid[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(pivots)
+
+
+def assert_matches_reference(m: RationalMatrix):
+    """rref, rank, nullspace_basis, from_spanning and schur_complement
+    (every leading block) of m against what reference_rref gives."""
+    cols = m.cols
+    grid = [list(row) for row in m.data]
+    pivots = reference_rref(grid)
+    reduced, got_pivots = rref(m)
+    assert got_pivots == pivots and reduced.data == tuple(map(tuple, grid))
+    assert rank(m) == len(pivots)
+    null = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -grid[r][f]
+        null.append(tuple(vec))
+    assert list(nullspace_basis(m).basis.columns()) == null
+    spanned = RationalSubspace.from_spanning(cols, m.data).basis
+    assert list(spanned.columns()) == list(map(tuple, grid[: len(pivots)]))
+    for n in range(min(m.rows, cols) + 1):
+        top = [list(row) for row in m.data[:n]]
+        if reference_rref(top) != tuple(range(n)):
+            with pytest.raises(SingularBlockError):
+                schur_complement(m, n)
+            continue
+        expected = tuple(
+            tuple(row[n + j] - sum((row[i] * top[i][n + j] for i in range(n)), Fraction(0)) for j in range(cols - n))
+            for row in m.data[n:]
+        )
+        assert schur_complement(m, n).data == expected
+
+
+class TestAgainstReferenceRref:
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4)], ids=["3x3", "2x4"])
+    def test_every_small_sign_matrix(self, shape):
+        rows, cols = shape
+        for entries in product((-1, 0, 1), repeat=rows * cols):
+            assert_matches_reference(
+                RationalMatrix([entries[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+            )
+
+    def test_seeded_matrices_up_to_six_by_seven(self):
+        # denominators up to 7, zero columns and planted dependent rows
+        rng = Random(18)
+        for _ in range(2000):
+            nrows, cols = rng.randint(0, 6), rng.randint(1, 7)
+            den = rng.randint(1, 7)
+            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(cols)] for _ in range(nrows)]
+            if nrows and rng.random() < 0.3:
+                j = rng.randrange(cols)
+                for row in rows:
+                    row[j] = Fraction(0)
+            if nrows > 1 and rng.random() < 0.4:
+                a, b = rng.sample(range(nrows), 2)
+                t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                rows[a] = [t * v for v in rows[b]]
+            assert_matches_reference(RationalMatrix(rows, cols=cols))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrix(max_dim=5))
+    def test_property(self, m):
+        assert_matches_reference(m)
+
+
 class TestRref:
     def test_identity_fixed(self):
         m = RationalMatrix.identity(2)
@@ -140,52 +237,94 @@ def leibniz_determinant(rows):
     return total
 
 
-class TestIntegerDeterminant:
-    def test_empty_matrix_is_one(self):
-        # the 0 x 0 block of a k = 1 cocircuit
-        assert integer_determinant([]) == 1
+class TestIntegerRows:
+    def test_scales_by_the_lcm_of_the_denominators(self):
+        rows = [[Fraction(1, 2), Fraction(-2, 3)], [3, 0]]
+        assert integer_rows(rows) == (6, ((3, -4), (18, 0)))
+        assert integer_rows([]) == (1, ())
 
-    def test_one_by_one(self):
-        assert integer_determinant([[-7]]) == -7
+
+def cofactor_vector(rows):
+    """The signed maximal minors of a (k-1) x k block, by Leibniz: a
+    vector in its kernel that owes nothing to elimination."""
+    k = len(rows) + 1
+    return tuple((-1) ** j * leibniz_determinant([row[:j] + row[j + 1 :] for row in rows]) for j in range(k))
+
+
+def assert_integer_kernel(rows, ncols):
+    kernel = integer_nullspace(rows, ncols)
+    r = rank(RationalMatrix(rows, cols=ncols))
+    assert len(kernel) == ncols - r
+    for vec in kernel:
+        assert len(vec) == ncols and all(isinstance(v, int) for v in vec)
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+    # independent: together they span a space of dimension ncols - rank
+    assert rank(RationalMatrix(kernel, cols=ncols)) == len(kernel)
+    return kernel
+
+
+def assert_on_the_cofactor_line(rows):
+    (vec,) = assert_integer_kernel(rows, len(rows) + 1)
+    cof = cofactor_vector(rows)
+    assert any(cof)
+    j = next(i for i, v in enumerate(cof) if v)
+    # vec = t * cof for a nonzero rational t
+    assert vec[j] != 0
+    assert all(v * cof[j] == c * vec[j] for v, c in zip(vec, cof))
+
+
+class TestIntegerNullspace:
+    def test_empty_block_spans_the_line(self):
+        # the 0 x 1 block of a k = 1 cocircuit
+        assert integer_nullspace([], 1) == [(1,)]
+
+    def test_one_row(self):
+        assert_on_the_cofactor_line([[-7, 3]])
+        assert integer_nullspace([[-7, 3]], 2) == [(-3, -7)]
 
     def test_zero_leading_pivot_swaps_rows(self):
-        assert integer_determinant([[0, 1], [1, 0]]) == -1
-        assert integer_determinant([[0, 2, 1], [3, 1, 0], [1, 0, 4]]) == leibniz_determinant(
-            [[0, 2, 1], [3, 1, 0], [1, 0, 4]]
-        )
+        assert_on_the_cofactor_line([[0, 2, 1], [3, 1, 0]])
+        assert_on_the_cofactor_line([[0, 2, 1, 5], [3, 1, 0, 2], [1, 0, 4, 1]])
 
     def test_zero_pivot_deeper_in_the_elimination(self):
-        rows = [[1, 2, 3], [2, 4, 7], [1, 5, 1]]
-        assert integer_determinant(rows) == leibniz_determinant(rows) == -3
+        # the second column has no pivot below the first row
+        assert_on_the_cofactor_line([[1, 2, 3, 0], [2, 4, 7, 1], [1, 5, 1, 2]])
 
-    def test_singular(self):
-        assert integer_determinant([[1, 2], [2, 4]]) == 0
-        assert integer_determinant([[0, 0, 1], [0, 0, 2], [3, 4, 5]]) == 0
-        assert integer_determinant([[0, 0], [0, 0]]) == 0
+    def test_dependent_blocks_have_several_vectors(self):
+        for rows in ([[1, 2, 0], [2, 4, 0]], [[0, 0, 1, 3], [0, 0, 2, 6], [3, 4, 5, 0]], [[0, 0, 0], [0, 0, 0]]):
+            assert not any(cofactor_vector(rows))
+            assert len(assert_integer_kernel(rows, len(rows) + 1)) >= 2
 
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            integer_determinant([[1, 2]])
+    def test_every_shape_has_nullity_many_vectors(self):
+        # any row count is accepted, wider and taller than (k-1) x k alike
+        rng = Random(62)
+        for _ in range(300):
+            nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+            rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.4:
+                a, b = rng.sample(range(nrows), 2)
+                rows[a] = [rng.randint(-2, 2) * v for v in rows[b]]
+            assert_integer_kernel(rows, ncols)
 
     def test_does_not_modify_input(self):
-        rows = [[0, 1], [1, 1]]
-        integer_determinant(rows)
-        assert rows == [[0, 1], [1, 1]]
+        rows = [[0, 1, 2], [1, 1, 0]]
+        integer_nullspace(rows, 3)
+        assert rows == [[0, 1, 2], [1, 1, 0]]
 
-    def test_random_against_leibniz_and_rank(self):
+    def test_full_rank_blocks_give_the_cofactor_line(self):
         rng = Random(61)
+        seen = 0
         for _ in range(300):
-            size = rng.randint(1, 5)
-            rows = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
-            if rng.random() < 0.3:
-                # force a dependent row
-                a, b = rng.sample(range(size), 2) if size > 1 else (0, 0)
-                rows[a] = [rng.randint(-2, 2) * v for v in rows[b]]
-            if rng.random() < 0.3:
+            k = rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k - 1)]
+            if k > 1 and rng.random() < 0.3:
                 rows[0][0] = 0
-            det = integer_determinant(rows)
-            assert det == leibniz_determinant(rows)
-            assert (det != 0) == (rank(RationalMatrix(rows)) == size)
+            if rank(RationalMatrix(rows, cols=k)) == k - 1:
+                assert_on_the_cofactor_line(rows)
+                seen += 1
+            else:
+                assert len(assert_integer_kernel(rows, k)) >= 2
+        assert seen > 200
 
 
 class TestNullspace:
