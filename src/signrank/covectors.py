@@ -18,7 +18,9 @@ over the leading ones, and composes nothing.
 Witnesses are built on first read. `SubspaceSignReport.witnesses` gives
 every sign vector X, in canonical order, the sum of the integer witnesses
 of the cocircuits conformal to X: each image agrees with X wherever it is
-nonzero, so the sum has X's signs on the union of their supports. The sum
+nonzero, so the sum has X's signs on the union of their supports. Those
+cocircuits are picked, as in the conformal cover, by ANDing one bitmask
+over the cocircuits per coordinate of X, not by scanning them all. The sum
 is scaled so that (x, Bx) is a primitive integer vector, and its image
 signs are re-checked. No feasibility solve is needed per vector, and a
 caller that reads only signs or sizes does no witness arithmetic.
@@ -92,13 +94,31 @@ class SubspaceSignReport:
     @cached_property
     def witnesses(self) -> dict[SignVector, tuple[int, ...]]:
         n, k = self.subspace.ambient_dim, self.subspace.dim
+        cocircuits = self._cocircuits
+        # per coordinate, bitmasks over the cocircuits that a vector with
+        # +, - and 0 there may use: those not - there, not + there, 0 there
+        every = (1 << len(cocircuits)) - 1
+        plus_at, minus_at = [0] * n, [0] * n
+        for g, (p, q, _, _) in enumerate(cocircuits):
+            for i in range(n):
+                if p >> i & 1:
+                    plus_at[i] |= 1 << g
+                elif q >> i & 1:
+                    minus_at[i] |= 1 << g
+        may = [
+            (every ^ m, every ^ p, every ^ (p | m)) for p, m in zip(plus_at, minus_at)
+        ]
         witnesses = {}
         for s in self.signs:
             pos, neg = s.pos, s.neg
+            conformal = every
+            for i, (plus, minus, zero) in enumerate(may):
+                conformal &= plus if pos >> i & 1 else minus if neg >> i & 1 else zero
             coeff, image = [0] * k, [0] * n
-            for p, q, c, v in self._cocircuits:
-                if p & ~pos or q & ~neg:
-                    continue
+            while conformal:
+                low = conformal & -conformal
+                conformal ^= low
+                _, _, c, v = cocircuits[low.bit_length() - 1]
                 coeff = [a + b for a, b in zip(coeff, c)]
                 image = [a + b for a, b in zip(image, v)]
             coeff, image = _reduce_int_pair(coeff, image)

@@ -28,7 +28,15 @@ its first hit is the certificate. It is bitsliced: one Python int holds
 a bit per orientation of a structure, up to 1024 of them, so those
 orientations are decided together, and each is tested against the c rays
 of the type only (its cocircuits), which is equivalent to testing its
-whole sign set. Each search has one Deadline for its budget_ms.
+whole sign set. Before any orientation is tried, the search cuts the
+structures that the line supports alone rule out: (a) a zero mask on
+whose support some line has a single coordinate, since every type there
+has a sector with full support; (b) a partition with a class holding all
+but one of the coordinates that a line has in the support, since the ray
+that zeroes that class meets the line once. Neither cut drops a structure
+with a hit, and the survivors keep their order, so the first hit is the
+uncut walk's. Each search has one Deadline for its budget_ms, charged for
+the cut work as well as for the orientations decided.
 
 Orientation canon: only the lowest-indexed nonzero coordinate is pinned
 to +, which quotients exactly the global-negation symmetry (a basis and
@@ -125,7 +133,61 @@ def _raw_to_type(n: int, zero_mask: int, class_masks: tuple[int, ...], neg_mask:
     return Rank2Type(n, zero_set, classes, orientations)
 
 
-def _ordered_partitions(bits: Sequence[int], c: int) -> Iterator[tuple[int, ...]]:
+class _Cuts:
+    """The two cuts that find_plane_type makes from the line supports
+    alone, before any orientation of a structure is tried.
+
+    With S the support of a zero mask and T the part of a line's support
+    inside S: (a) the zero mask is dead once some line has |T| = 1, since
+    every type on S has a sector with full support on S, which meets that
+    line in one coordinate; (b) a partition is dead once some class holds
+    exactly |T| - 1 coordinates of T, since ray j zeroes class j and so
+    meets the line in one coordinate. A type is orthogonal to a line
+    exactly when its rays are, so neither cut drops a structure that has
+    an admitted orientation, and the first hit stays the same.
+
+    enter(zero_mask) applies cut (a), and for a live mask lists in at[p]
+    the tests of cut (b) due at position p of the support: one per set T
+    whose highest coordinate is there, as (T, T less that coordinate,
+    |T| - 1, position of the lowest coordinate of T). masks and nodes count
+    the dead zero masks and the cut partition nodes; each count is charged
+    to the deadline in batches of Deadline.READ_EVERY units, a batch being
+    spent at its first cut, so that a search whose every structure is cut
+    still reads the clock.
+    """
+
+    def __init__(self, packed: Sequence[tuple[int, int]], n: int, deadline: Deadline):
+        self.reaches = list({pos | neg for pos, neg in packed} - {0})
+        self.n = n
+        self.spend = deadline.spend
+        self.masks = self.nodes = 0
+        self.at: list[tuple] = []
+
+    def enter(self, zero_mask: int) -> bool:
+        """False, and the cut charged, if cut (a) kills zero_mask."""
+        live = ~zero_mask
+        seen = set()
+        for reach in self.reaches:
+            t = reach & live
+            if t & (t - 1):
+                seen.add(t)
+            elif t:
+                if not self.masks % Deadline.READ_EVERY:
+                    self.spend(Deadline.READ_EVERY)
+                self.masks += 1
+                return False
+        at = [()] * self.n
+        for t in seen:
+            top, low = 1 << t.bit_length() - 1, t & -t
+            p = (live & top - 1).bit_count()
+            at[p] += ((t, t ^ top, t.bit_count() - 1, (live & low - 1).bit_count()),)
+        self.at = at
+        return True
+
+
+def _ordered_partitions(
+    bits: Sequence[int], c: int, cuts: Optional[_Cuts] = None
+) -> Iterator[tuple[int, ...]]:
     """Class masks of every ordered partition of the coordinates in bits
     into c nonempty classes.
 
@@ -133,8 +195,20 @@ def _ordered_partitions(bits: Sequence[int], c: int) -> Iterator[tuple[int, ...]
     the surjections onto range(c), generated in lexicographic order by a
     depth-first walk that only offers an already used class while enough
     positions remain to fill every empty one.
+
+    With cuts, entered at the zero mask of bits, the walk also leaves every
+    branch that cut (b) kills. It tests a set T at the position of its
+    highest coordinate, where the class counts of T are final, so it cuts
+    whole subtrees and the survivors keep their order. There, with v the
+    class just assigned, some class holds |T| - 1 of T exactly when class
+    v does, or when v holds only the highest coordinate and the class of
+    the lowest holds all the rest.
     """
     s = len(bits)
+    if cuts is None:
+        at = [()] * s
+    else:
+        at, spend, every = cuts.at, cuts.spend, Deadline.READ_EVERY
     masks = [0] * c
     counts = [0] * c
     assignment = [-1] * s
@@ -160,14 +234,27 @@ def _ordered_partitions(bits: Sequence[int], c: int) -> Iterator[tuple[int, ...]
         if not counts[v]:
             missing -= 1
         counts[v] += 1
-        if p == s - 1:
-            yield tuple(masks)
+        for t, rest, need, low in at[p]:
+            r = masks[v] & t
+            if r != t and (
+                masks[assignment[low]] & t == rest if r == bits[p] else r.bit_count() == need
+            ):
+                if not cuts.nodes % every:
+                    spend(every)
+                cuts.nodes += 1
+                break
         else:
-            p += 1
+            if p == s - 1:
+                yield tuple(masks)
+            else:
+                p += 1
 
 
-def _iter_structures(n: int, min_classes: int = 0) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """All (zero_mask, support, class_masks) triples, deterministically.
+def _iter_structures(
+    n: int, min_classes: int = 0, cuts: Optional[_Cuts] = None
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """All (zero_mask, support, class_masks) triples, deterministically;
+    with cuts, only those that neither cut kills.
 
     Order: class count ascending, then zero mask ascending, then the
     ordered partition of the support as a lexicographic class assignment.
@@ -178,10 +265,10 @@ def _iter_structures(n: int, min_classes: int = 0) -> Iterator[tuple[int, tuple[
         yield (full, (), ())
     for c in range(max(1, min_classes), n + 1):
         for zero_mask in range(full + 1):
-            support = tuple(i for i in range(n) if not zero_mask >> i & 1)
-            if len(support) < c:
+            if n - zero_mask.bit_count() < c or cuts is not None and not cuts.enter(zero_mask):
                 continue
-            for class_masks in _ordered_partitions([1 << i for i in support], c):
+            support = tuple(i for i in range(n) if not zero_mask >> i & 1)
+            for class_masks in _ordered_partitions([1 << i for i in support], c, cuts):
                 yield (zero_mask, support, class_masks)
 
 
@@ -360,11 +447,23 @@ def find_plane_type(
     rays is the first orientation of the canonical order, so the first hit
     is the type-by-type walk's.
 
+    The structure walk skips what two cuts on the line supports rule out
+    (see _Cuts), with S the support of a zero mask and T the part of a
+    line's support inside S: (a) the zero mask, if some line has |T| = 1;
+    (b) the branch of the partition walk, at the position of max(T), if
+    some class holds exactly |T| - 1 coordinates of T. A cut structure has
+    a ray that meets a line in one coordinate under every orientation, and
+    the surviving structures keep their order, so the first hit is the
+    same as without the cuts.
+
     One Deadline built from budget_ms raises BudgetExceededError once the
-    budget has passed; it reads the clock before the first block of
-    orientations and then once the blocks begun since the last reading hold
-    1024 or more types, so budget_ms=0 stops any search that has a type to
-    test. Raises DimensionError for a line whose length is not n.
+    budget has passed. It reads the clock at the first block of
+    orientations or the first cut, whichever comes first, and then once
+    the work spent since the last reading holds 1024 or more units: a type
+    of a block decided, or a dead zero mask or cut partition node, each cut
+    charged in batches of 1024 as its batch begins. So budget_ms=0 stops
+    any search that has a structure to decide or cut. Raises DimensionError
+    for a line whose length is not n.
     """
     for v in lines:
         if v.n != n:
@@ -372,7 +471,7 @@ def find_plane_type(
     packed = [(v.pos, v.neg) for v in lines]
     deadline = Deadline(budget_ms)
     current = None
-    for zero_mask, support, class_masks in _iter_structures(n, min_classes=2):
+    for zero_mask, support, class_masks in _iter_structures(n, 2, _Cuts(packed, n, deadline)):
         if zero_mask != current:
             current = zero_mask
             every, high, folded = _fold_lines(support, packed)

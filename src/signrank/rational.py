@@ -58,7 +58,9 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        grid = tuple(tuple(Fraction(e) for e in row) for row in data)
+        # a Fraction entry is kept as it is: re-wrapping it costs more than
+        # eliminating a small matrix
+        grid = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in data)
         if grid:
             width = len(grid[0])
             if any(len(row) != width for row in grid):
@@ -85,7 +87,7 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RationalMatrix":
-        cols = [tuple(Fraction(e) for e in c) for c in columns]
+        cols = [tuple(c) for c in columns]
         if cols:
             height = len(cols[0])
             if any(len(c) != height for c in cols):
@@ -283,7 +285,7 @@ class RationalSubspace:
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "RationalSubspace":
         """Span of possibly dependent vectors, reduced to a basis."""
-        rows = [tuple(Fraction(e) for e in v) for v in vectors]
+        rows = [tuple(v) for v in vectors]
         for v in rows:
             if len(v) != ambient_dim:
                 raise DimensionError("spanning vector length does not match ambient dimension")

@@ -5,8 +5,8 @@ purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
-and says so. Budgeted `mr` runs stay out: a budget cut makes them depend
-on timing."""
+and says so. `mr` runs without --budget-ms: a budget cut would make them
+depend on timing."""
 
 import contextlib
 import hashlib
@@ -36,6 +36,7 @@ def commands() -> list[list[str]]:
     for eq in sorted({path.name[:3] for path in (CORPUS / "witness").glob("eq*-B.sp")}):
         runs.append(["rationalize", *(relative(CORPUS / "witness" / f"{eq}-{part}.sp") for part in "BCE"), "--json"])
     runs.append(["duality-check", "--random", "12", "--n", "6", "--json"])
+    runs += [["mr", relative(path), "--json"] for path in sorted((CORPUS / "minrank").glob("*.sp"))]
     return runs
 
 
@@ -52,7 +53,7 @@ def pinned() -> dict:
 
 
 def test_the_pinned_commands_are_the_corpus_commands():
-    assert len(commands()) == 36 + 9 + 6 + 4 + 1
+    assert len(commands()) == 36 + 9 + 6 + 4 + 1 + 15
     assert sorted(pinned()) == sorted(" ".join(argv) for argv in commands())
 
 

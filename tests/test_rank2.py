@@ -2,7 +2,7 @@
 
 import signal
 import time
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from random import Random
 
@@ -10,7 +10,7 @@ import pytest
 
 from signrank import errors, minrank, rank2, realize
 from signrank.covectors import sign_vectors
-from signrank.errors import BudgetExceededError, DimensionError
+from signrank.errors import BudgetExceededError, Deadline, DimensionError
 from signrank.rank2 import (
     enumerate_rank2_types,
     find_plane_type,
@@ -431,6 +431,52 @@ def reference_find_plane_type(lines, n):
     return None
 
 
+def reference_cut(lines, class_masks):
+    """Whether cut (a) or (b) of find_plane_type removes the structure, read
+    off their definitions: some line meets its support S in one coordinate,
+    or some class holds all but one of the coordinates T that a line has
+    in S."""
+    for pos, neg in lines:
+        t = (pos | neg) & sum(class_masks)
+        size = bin(t).count("1")
+        if size == 1 or size and any(bin(m & t).count("1") == size - 1 for m in class_masks):
+            return True
+    return False
+
+
+def watchdog(seconds, message):
+    """Fails the test from a SIGALRM after seconds, so that a search that
+    ignores its deadline cannot hang the suite; use as a context manager."""
+
+    class Watchdog:
+        def __enter__(self):
+            def overrun(signum, frame):
+                pytest.fail(message)
+
+            self.previous = signal.signal(signal.SIGALRM, overrun)
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+
+        def __exit__(self, *exc):
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, self.previous)
+
+    return Watchdog()
+
+
+@pytest.fixture
+def recorded_cuts(monkeypatch):
+    """Every rank2._Cuts that find_plane_type makes, for reading its counts."""
+    made = []
+
+    class Recording(rank2._Cuts):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(rank2, "_Cuts", Recording)
+    return made
+
+
 class TestStructures:
     def test_ordered_partitions_equal_the_product_filter(self):
         for s in range(1, 7):
@@ -465,6 +511,66 @@ class TestStructures:
                     assert reference_type_admits([line], rays) == reference_type_admits(
                         [line], covectors
                     )
+
+
+class TestCuts:
+    def test_cut_structures_admit_no_orientation(self):
+        # exhaustive: every line set of one sign vector for n = 2..5 and of
+        # two for n = 2..4 (one of each +/- pair, which admit the same types);
+        # the walk removes exactly the structures that the cuts name, no
+        # orientation of those has rays that admit every line, and the
+        # structures that survive keep their order
+        fired = {"masks": 0, "nodes": 0}
+        for n in range(2, 6):
+            structures = list(rank2._iter_structures(n, 2))
+            rays = {
+                (zero_mask, class_masks): [
+                    reference_walk_covectors(class_masks, neg_mask)[len(class_masks) :]
+                    for neg_mask in rank2._orientation_masks(support)
+                ]
+                for zero_mask, support, class_masks in structures
+            }
+            lines = [(v.pos, v.neg) for v in all_sign_vectors(n) if v.pos & -(v.pos | v.neg)]
+            line_sets = [[line] for line in lines]
+            if n <= 4:
+                line_sets += [list(pair) for pair in combinations(lines, 2)]
+            for line_set in line_sets:
+                cuts = rank2._Cuts(line_set, n, Deadline(None))
+                kept = list(rank2._iter_structures(n, 2, cuts))
+                assert kept == [s for s in structures if not reference_cut(line_set, s[2])]
+                survivors = set(kept)
+                for zero_mask, support, class_masks in structures:
+                    if (zero_mask, support, class_masks) not in survivors:
+                        for oriented in rays[(zero_mask, class_masks)]:
+                            assert not reference_type_admits(line_set, oriented)
+                fired["masks"] += cuts.masks
+                fired["nodes"] += cuts.nodes
+        assert fired["masks"] > 0 and fired["nodes"] > 0
+
+    def test_equals_the_reference_walk_on_narrow_lines(self, recorded_cuts):
+        # lines with supports of one to three coordinates, on which both cuts
+        # fire; 60 line sets for each n = 2..5 and 10 for n = 6
+        rng = Random(19)
+        outcomes = {}
+        for i in range(250):
+            n = 2 + i % 4 if i < 240 else 6
+            lines = []
+            for _ in range(rng.randint(1, 6)):
+                support = rng.sample(range(n), rng.randint(1, min(3, n)))
+                lines.append(
+                    SignVector.from_signs([rng.choice((-1, 1)) if j in support else 0 for j in range(n)])
+                )
+            expected = reference_find_plane_type(lines, n)
+            assert find_plane_type(lines, n) == expected
+            key = (n, expected is None)
+            outcomes[key] = outcomes.get(key, 0) + 1
+        # R^2 is the one plane of n = 2, and no nonzero line is orthogonal to it
+        assert outcomes.get((2, False), 0) == 0
+        for n in range(3, 7):
+            assert outcomes.get((n, False), 0) > 0
+        assert sum(count for (_, exhausted), count in outcomes.items() if exhausted) >= 20
+        assert sum(cuts.masks for cuts in recorded_cuts) > 0
+        assert sum(cuts.nodes for cuts in recorded_cuts) > 0
 
 
 class TestWalkCovectors:
@@ -583,32 +689,53 @@ class TestFindPlaneType:
                 find_plane_type(identity, n, budget_ms=0)
 
     def test_budget_bounds_a_wide_search(self):
-        # the identity lines at n = 26 admit no plane; the first partition
-        # alone has 2^25 orientations, which the search must not hold at once
+        # the identity lines at n = 26 admit no plane; cut (a) kills each of
+        # the 2^26 zero masks of every class count, which the search must
+        # charge to its budget
         # the n = 26 search does not end by itself, so a watchdog fails the
         # test after 10 s rather than letting a search that ignores its
         # deadline hang the suite
         n = 26
         identity = [SignVector.from_signs([int(i == j) for j in range(n)]) for i in range(n)]
-
-        def overrun(signum, frame):
-            pytest.fail("find_plane_type ran past its 50 ms budget for 10 s")
-
-        previous = signal.signal(signal.SIGALRM, overrun)
-        signal.setitimer(signal.ITIMER_REAL, 10.0)
-        try:
+        with watchdog(10.0, "find_plane_type ran past its 50 ms budget for 10 s"):
             start = time.monotonic()
             with pytest.raises(BudgetExceededError):
                 find_plane_type(identity, n, budget_ms=50)
             assert time.monotonic() - start < 5.0
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+
+    def test_budget_bounds_a_search_cut_inside_the_partitions(self, recorded_cuts):
+        # the lines {i, n-1} at n = 24 leave only the full support to cut
+        # (a), and cut (b) kills each of its partitions at the last position,
+        # after the walk has assigned every other coordinate: the 2^23
+        # assignments of two classes alone take about 20 s, so the budget has
+        # to stop the search inside the partition walk, before any zero mask
+        # is cut
+        n = 24
+        lines = [SignVector.from_signs([int(j in (i, n - 1)) for j in range(n)]) for i in range(n - 1)]
+        with watchdog(10.0, "find_plane_type ran past its 50 ms budget for 10 s"):
+            start = time.monotonic()
+            with pytest.raises(BudgetExceededError):
+                find_plane_type(lines, n, budget_ms=50)
+            assert time.monotonic() - start < 5.0
+        (cuts,) = recorded_cuts
+        assert cuts.masks == 0 and cuts.nodes > 0
 
     def test_clock_is_read_once_per_1024_types(self, monkeypatch):
-        # the identity lines exhaust all 12,120 types of n = 5; the clock is
-        # read for the deadline, before the first partition, and then once
-        # 1024 or more types have been decided, at most 16 per partition
+        # the 16 full-support lines of n = 5 admit no plane and never meet a
+        # support in one coordinate, so only cut (b) fires: fewer than 1024
+        # times, the first time on zero mask 0 before any type is decided.
+        # The clock is read for the deadline, at that first cut, and then
+        # once 1024 or more of the types that the pruned walk leaves have
+        # been decided, at most 16 per partition
+        n = 5
+        lines = [SignVector.from_signs([1, *signs]) for signs in product((1, -1), repeat=n - 1)]
+        cuts = rank2._Cuts([(v.pos, v.neg) for v in lines], n, Deadline(None))
+        types = 0
+        for _, support, _ in rank2._iter_structures(n, 2, cuts):
+            assert cuts.nodes > 0
+            types += 1 << len(support) - 1
+        assert cuts.masks == 0 and 0 < cuts.nodes < 1024 and types < 12120
+
         class Clock:
             reads = 0
 
@@ -618,6 +745,5 @@ class TestFindPlaneType:
                 return 0.0
 
         monkeypatch.setattr(errors, "time", Clock)
-        identity = [SignVector.from_signs([int(i == j) for j in range(5)]) for i in range(5)]
-        assert find_plane_type(identity, 5, budget_ms=1000) is None
-        assert 1 + 12120 // (1024 + 15) <= Clock.reads - 1 <= 1 + 12120 // 1024
+        assert find_plane_type(lines, n, budget_ms=1000) is None
+        assert 1 + types // (1024 + 15) <= Clock.reads - 1 <= 1 + types // 1024

@@ -81,6 +81,28 @@ class TestParsing:
             RationalMatrix.parse("1 2\n3\n")
 
 
+class TestConstruction:
+    def test_ints_bools_and_fractions_give_equal_matrices(self):
+        ints = [[1, 0], [1, 1]]
+        bools = [[True, False], [True, True]]
+        fractions = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
+        built = [RationalMatrix(grid) for grid in (ints, bools, fractions)]
+        built += [RationalMatrix.from_columns(list(zip(*grid))) for grid in (ints, bools, fractions)]
+        for m in built:
+            assert m == built[0] and hash(m) == hash(built[0])
+            assert all(type(e) is Fraction for row in m.data for e in row)
+
+    def test_a_fraction_entry_is_kept_as_it_is(self):
+        half = Fraction(1, 2)
+        assert RationalMatrix([[half, 3]]).entry(0, 0) is half
+        assert RationalMatrix.from_columns([[half], [3]]).entry(0, 0) is half
+
+    def test_other_entries_are_converted(self):
+        m = RationalMatrix([[2, "3/4", 0.5]])
+        assert m.data == ((Fraction(2), Fraction(3, 4), Fraction(1, 2)),)
+        assert all(type(e) is Fraction for e in m.row(0))
+
+
 def reference_rref(grid: list[list[Fraction]]) -> tuple[int, ...]:
     """In-place reduced row echelon form over Fractions, dividing by each
     pivot as it goes; returns the pivot columns. The elimination that the
