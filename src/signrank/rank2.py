@@ -134,26 +134,18 @@ def _raw_to_type(n: int, zero_mask: int, class_masks: tuple[int, ...], neg_mask:
 
 
 class _Cuts:
-    """The two cuts that find_plane_type makes from the line supports
-    alone, before any orientation of a structure is tried.
+    """Cuts (a) and (b) of find_plane_type, which read only the supports of
+    its lines, for one search.
 
-    With S the support of a zero mask and T the part of a line's support
-    inside S: (a) the zero mask is dead once some line has |T| = 1, since
-    every type on S has a sector with full support on S, which meets that
-    line in one coordinate; (b) a partition is dead once some class holds
-    exactly |T| - 1 coordinates of T, since ray j zeroes class j and so
-    meets the line in one coordinate. A type is orthogonal to a line
-    exactly when its rays are, so neither cut drops a structure that has
-    an admitted orientation, and the first hit stays the same.
-
-    enter(zero_mask) applies cut (a), and for a live mask lists in at[p]
+    enter(zero_mask) applies cut (a) and, for a live mask, lists in at[p]
     the tests of cut (b) due at position p of the support: one per set T
-    whose highest coordinate is there, as (T, T less that coordinate,
-    |T| - 1, position of the lowest coordinate of T). masks and nodes count
-    the dead zero masks and the cut partition nodes; each count is charged
-    to the deadline in batches of Deadline.READ_EVERY units, a batch being
-    spent at its first cut, so that a search whose every structure is cut
-    still reads the clock.
+    (a line's support inside it) whose highest coordinate is there, as (T,
+    T less that coordinate, |T| - 1, position of the lowest coordinate of
+    T), for _ordered_partitions to apply. masks and nodes count the dead
+    zero masks and the cut partition nodes; each count is charged to the
+    deadline in batches of Deadline.READ_EVERY units, a batch being spent
+    at its first cut, so that a search whose every structure is cut still
+    reads the clock.
     """
 
     def __init__(self, packed: Sequence[tuple[int, int]], n: int, deadline: Deadline):

@@ -2,6 +2,7 @@
 
 import signal
 import time
+from contextlib import contextmanager
 from itertools import combinations, product
 from pathlib import Path
 from random import Random
@@ -444,23 +445,21 @@ def reference_cut(lines, class_masks):
     return False
 
 
+@contextmanager
 def watchdog(seconds, message):
     """Fails the test from a SIGALRM after seconds, so that a search that
-    ignores its deadline cannot hang the suite; use as a context manager."""
+    ignores its deadline cannot hang the suite."""
 
-    class Watchdog:
-        def __enter__(self):
-            def overrun(signum, frame):
-                pytest.fail(message)
+    def overrun(signum, frame):
+        pytest.fail(message)
 
-            self.previous = signal.signal(signal.SIGALRM, overrun)
-            signal.setitimer(signal.ITIMER_REAL, seconds)
-
-        def __exit__(self, *exc):
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, self.previous)
-
-    return Watchdog()
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -530,6 +529,7 @@ class TestCuts:
                 ]
                 for zero_mask, support, class_masks in structures
             }
+            # the nonzero vectors whose lowest nonzero coordinate is +
             lines = [(v.pos, v.neg) for v in all_sign_vectors(n) if v.pos & -(v.pos | v.neg)]
             line_sets = [[line] for line in lines]
             if n <= 4:
