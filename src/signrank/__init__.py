@@ -48,7 +48,6 @@ from .rank2 import (
     type_sign_sets,
 )
 from .rank3 import (
-    Rank3Exhausted,
     Rank3Result,
     rank3_search,
 )

@@ -81,7 +81,7 @@ def _cmd_mr(args) -> int:
         elif isinstance(payload, rank2.Mr2Certificate):
             entry["signature"] = list(payload.signature)
             entry["column_order"] = list(payload.column_order)
-        elif isinstance(payload, rank3.Rank3Exhausted):
+        elif isinstance(payload, rank3.Rank3Result):
             # not independently checkable: only a rerun of the search re-verifies it
             entry["question"] = payload.question
             entry["nodes"] = payload.nodes

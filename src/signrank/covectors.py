@@ -15,20 +15,15 @@ White & Ziegler, Oriented Matroids, 3.7). `signs.conformal_cover` decides
 it for every candidate, bitsliced over the last six coordinates and walked
 over the leading ones, and composes nothing.
 
-Witnesses are built on first read. `SubspaceSignReport.witnesses` gives
-every sign vector X, in canonical order, the sum of the integer witnesses
-of the cocircuits conformal to X: each image agrees with X wherever it is
-nonzero, so the sum has X's signs on the union of their supports. Those
-cocircuits are picked, as in the conformal cover, by ANDing one bitmask
-over the cocircuits per coordinate of X, not by scanning them all. The sum
-is scaled so that (x, Bx) is a primitive integer vector, and its image
-signs are re-checked. No feasibility solve is needed per vector, and a
-caller that reads only signs or sizes does no witness arithmetic.
-
-Membership queries need no enumeration: member_witness runs the same
-cover test and sum for one X. It reads the cocircuits of a basis from a
-small cache, along with the rows of D B that re-check each witness in
-integers, so repeated queries against one subspace build them once.
+Witnesses come from one routine, `_cover`: it picks the cocircuits
+conformal to X by ANDing one bitmask per coordinate, sums their integer
+coefficients into x, and re-checks sign(D B x) = X in integers; when
+their supports miss part of supp(X), X is not in sign(L). member_witness
+returns that x, made primitive, from a per-basis index kept in a small
+cache. `SubspaceSignReport.witnesses`, built on first read, gives each X
+the primitive integer point on the ray of (x, B x): the same ray, scaled.
+A caller that reads only signs or sizes builds neither the masks nor any
+witness, and no vector needs a feasibility solve.
 
 Strict feasibility is the same query. An x with a.x = 0 on the equality
 rows and a.x > 0 on the positive rows exists exactly when the sign vector
@@ -61,27 +56,21 @@ __all__ = [
     "random_subspace",
 ]
 
-# bases whose cocircuits member_witness keeps: realize_corank2 asks one
-# complement once per column, and the witness benchmark cycles 19 bases
-_COCIRCUIT_CACHE_SIZE = 32
-
 
 @dataclass(frozen=True)
 class SubspaceSignReport:
     """sign(L), with one integer witness per sign vector built on first read.
 
-    `sign_vectors` finds the signs alone and keeps the cocircuits it found
-    them from. `witnesses` is built the first time it is read and kept:
-    witnesses[s] is a coefficient vector x (in terms of the basis columns)
-    with sign(basis . x) = s, the sum of the witnesses of the cocircuits
-    conformal to s, scaled so that (x, basis . x) is a primitive integer
-    vector, in canonical order.
+    `sign_vectors` finds the signs alone and keeps the cover index it
+    found them from. witnesses[s], in canonical order, is the coefficient
+    vector x (in terms of the basis columns) that `_cover` finds for s,
+    scaled so that (x, basis . x) is a primitive integer vector.
     """
 
     subspace: RationalSubspace
     signs: SignVectorSet
-    # (pos, neg, coeff, image) of each cocircuit, as _cocircuit_candidates gives them
-    _cocircuits: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...] = field(repr=False)
+    # the index determines nothing that subspace does not: left out of ==
+    _index: "_CoverIndex" = field(repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.signs) % 2 != 1:
@@ -93,38 +82,14 @@ class SubspaceSignReport:
 
     @cached_property
     def witnesses(self) -> dict[SignVector, tuple[int, ...]]:
-        n, k = self.subspace.ambient_dim, self.subspace.dim
-        cocircuits = self._cocircuits
-        # per coordinate, bitmasks over the cocircuits that a vector with
-        # +, - and 0 there may use: those not - there, not + there, 0 there
-        every = (1 << len(cocircuits)) - 1
-        plus_at, minus_at = [0] * n, [0] * n
-        for g, (p, q, _, _) in enumerate(cocircuits):
-            for i in range(n):
-                if p >> i & 1:
-                    plus_at[i] |= 1 << g
-                elif q >> i & 1:
-                    minus_at[i] |= 1 << g
-        may = [
-            (every ^ m, every ^ p, every ^ (p | m)) for p, m in zip(plus_at, minus_at)
-        ]
+        index = self._index
         witnesses = {}
         for s in self.signs:
-            pos, neg = s.pos, s.neg
-            conformal = every
-            for i, (plus, minus, zero) in enumerate(may):
-                conformal &= plus if pos >> i & 1 else minus if neg >> i & 1 else zero
-            coeff, image = [0] * k, [0] * n
-            while conformal:
-                low = conformal & -conformal
-                conformal ^= low
-                _, _, c, v = cocircuits[low.bit_length() - 1]
-                coeff = [a + b for a, b in zip(coeff, c)]
-                image = [a + b for a, b in zip(image, v)]
-            coeff, image = _reduce_int_pair(coeff, image)
-            if _pack_signs(image) != (pos, neg):
-                raise InternalCheckError("witness image does not match its sign vector")
-            witnesses[s] = coeff
+            found = _cover(index, s.pos, s.neg)
+            if found is None:
+                raise InternalCheckError("a sign vector of the cover has no conformal cover")
+            # (D x, D B x) is an integer point on the ray of (x, B x)
+            witnesses[s] = _reduce_int_pair([index.scale * v for v in found[0]], found[1])[0]
         return witnesses
 
     def verify_witnesses(self) -> bool:
@@ -155,88 +120,114 @@ def _pack_signs(values: Sequence[int]) -> tuple[int, int]:
     return pos, neg
 
 
-def _cocircuit_candidates(basis: RationalMatrix) -> tuple[tuple[int, int, tuple, tuple], ...]:
-    """Sign vectors of B c for c spanning null spaces of (k-1)-row submatrices.
+class _CoverIndex:
+    """What the conformal cover reads of a basis B: D, the lcm of its
+    denominators; the rows of D B; and the cocircuits as (pos, neg, coeff),
+    with (coeff, B coeff) the primitive integer point on the ray of the
+    cocircuit whose sign vector is (pos, neg).
 
-    c spans the kernel of the (k-1) x k block of the integer matrix D B,
-    where D is the lcm of B's denominators. Covers every minimal-support
-    nonzero sign vector of the column span; extra non-minimal hits are
-    covectors too, so harmless for the conformal cover.
+    The cocircuits come from the kernels of the (k-1) x k blocks of D B.
+    That covers every minimal-support nonzero sign vector of the column
+    span; extra non-minimal hits are covectors too, so harmless for the
+    cover. `masks` is built on the first cover query, so a caller that
+    reads only the signs never builds it.
     """
-    n, k = basis.rows, basis.cols
-    scale, rows = integer_rows(basis.data)
-    found: dict[tuple[int, int], tuple[tuple, tuple]] = {}
-    for subset in combinations(range(n), k - 1):
-        kernel = integer_nullspace([rows[i] for i in subset], k)
-        if len(kernel) != 1:
-            continue  # dependent rows; the line is covered by a smaller independent subset
-        (c,) = kernel
-        # (D c, D B c) is an integer point on the ray of (c, B c)
-        coeff, img = _reduce_int_pair(
-            [scale * v for v in c],
-            [sum(map(mul, row, c)) for row in rows],
-        )
-        key = _pack_signs(img)
-        if key not in found:
-            found[key] = (coeff, img)
-            found[(key[1], key[0])] = (
-                tuple(-v for v in coeff),
-                tuple(-v for v in img),
-            )
-    return tuple((p, q, c, v) for (p, q), (c, v) in found.items())
+
+    def __init__(self, basis: RationalMatrix):
+        n, k = basis.rows, basis.cols
+        scale, rows = integer_rows(basis.data)
+        found: dict[tuple[int, int], tuple[int, ...]] = {}
+        for subset in combinations(range(n), k - 1) if k else ():
+            kernel = integer_nullspace([rows[i] for i in subset], k)
+            if len(kernel) != 1:
+                continue  # dependent rows; the line is covered by a smaller independent subset
+            (c,) = kernel
+            # (D c, D B c) is an integer point on the ray of (c, B c)
+            coeff, img = _reduce_int_pair([scale * v for v in c], [sum(map(mul, row, c)) for row in rows])
+            key = _pack_signs(img)
+            if key not in found:
+                found[key] = coeff
+                found[(key[1], key[0])] = tuple(-v for v in coeff)
+        self.dim, self.scale, self.rows = k, scale, rows
+        self.cocircuits = tuple((p, q, c) for (p, q), c in found.items())
+
+    @cached_property
+    def masks(self) -> tuple[tuple[int, int, int], ...]:
+        """Per coordinate, bitmasks over the cocircuits that a sign vector
+        with +, - and 0 there may use: those not - there, not + there, and
+        0 there."""
+        n = len(self.rows)
+        every = (1 << len(self.cocircuits)) - 1
+        plus_at, minus_at = [0] * n, [0] * n
+        for g, (p, q, _) in enumerate(self.cocircuits):
+            for i in range(n):
+                if p >> i & 1:
+                    plus_at[i] |= 1 << g
+                elif q >> i & 1:
+                    minus_at[i] |= 1 << g
+        return tuple((every ^ m, every ^ p, every ^ (p | m)) for p, m in zip(plus_at, minus_at))
 
 
-@lru_cache(maxsize=_COCIRCUIT_CACHE_SIZE)
-def _cached_cocircuits(basis: RationalMatrix) -> tuple[tuple, tuple]:
-    """What member_witness reads of a basis: the rows of D B, for the
-    re-check in integers, and the cocircuits."""
-    return integer_rows(basis.data)[1], _cocircuit_candidates(basis)
+# bases whose cover index member_witness keeps: realize_corank2 asks one
+# complement once per column, and the witness benchmark cycles 19 bases
+_cached_index = lru_cache(maxsize=32)(_CoverIndex)
+
+
+def _cover(index: _CoverIndex, pos: int, neg: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(x, D B x) for the sign vector X = (pos, neg), or None when X is not
+    in sign(L).
+
+    The cocircuits conformal to X are the AND of one mask per coordinate.
+    Each agrees with X wherever it is nonzero, so when their supports cover
+    supp(X) the sum x of their coefficients has sign(B x) = X (Bjorner,
+    Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 3.7), and
+    otherwise X is not in sign(L). x is made primitive and sign(D B x),
+    which is sign(B x), is re-checked in integers.
+    """
+    cocircuits = index.cocircuits
+    conformal = (1 << len(cocircuits)) - 1
+    for i, (plus, minus, zero) in enumerate(index.masks):
+        conformal &= plus if pos >> i & 1 else minus if neg >> i & 1 else zero
+    covered = 0
+    x = [0] * index.dim
+    while conformal:
+        low = conformal & -conformal
+        conformal ^= low
+        p, q, coeff = cocircuits[low.bit_length() - 1]
+        covered |= p | q
+        x = [a + b for a, b in zip(x, coeff)]
+    if covered != pos | neg:
+        return None
+    g = gcd(*x)
+    if g > 1:
+        x = [v // g for v in x]
+    image = tuple(sum(map(mul, row, x)) for row in index.rows)
+    if _pack_signs(image) != (pos, neg):
+        raise InternalCheckError("conformal cover does not realize the requested signs")
+    return tuple(x), image
 
 
 def sign_vectors(subspace: RationalSubspace) -> SubspaceSignReport:
     """The exact set {sign(v) : v in L}, as the conformal cover of its
     cocircuits; each vector's integer witness is built when the report's
     `witnesses` is first read."""
-    cocircuits = _cocircuit_candidates(subspace.basis) if subspace.dim > 0 else ()
-    signs = conformal_cover(subspace.ambient_dim, ((p, q) for p, q, _, _ in cocircuits))
-    return SubspaceSignReport(subspace, signs, cocircuits)
+    index = _CoverIndex(subspace.basis)
+    signs = conformal_cover(subspace.ambient_dim, ((p, q) for p, q, _ in index.cocircuits))
+    return SubspaceSignReport(subspace, signs, index)
 
 
 def member_witness(
     subspace: RationalSubspace, s: SignVector
 ) -> Optional[tuple[Fraction, ...]]:
-    """A rational x with sign(B x) = s, or None when s is not in sign(L).
-
-    x is the primitive integer sum of the witnesses of the cocircuits
-    conformal to s: each image agrees with s wherever it is nonzero, so
-    the sum has s's signs on the union of their supports.
-    """
+    """A rational x with sign(B x) = s, or None when s is not in sign(L):
+    the primitive integer x that `_cover` finds, from the basis's cached
+    index."""
     if s.n != subspace.ambient_dim:
         raise DimensionError(
             f"sign vector of length {s.n} against ambient dimension {subspace.ambient_dim}"
         )
-    k = subspace.dim
-    if k == 0:
-        return () if s.is_zero() else None
-    if s.is_zero():
-        return tuple(Fraction(0) for _ in range(k))
-    pos, neg = s.pos, s.neg
-    covered = 0
-    total = [0] * k
-    rows, cocircuits = _cached_cocircuits(subspace.basis)
-    for p, q, coeff, _ in cocircuits:
-        if p & ~pos or q & ~neg:
-            continue
-        covered |= p | q
-        total = [a + b for a, b in zip(total, coeff)]
-    if covered != pos | neg:
-        return None
-    g = gcd(*total)
-    total = [v // g for v in total]
-    # D B x has the signs of B x: the exact re-check in integers
-    if _pack_signs([sum(map(mul, row, total)) for row in rows]) != (pos, neg):
-        raise InternalCheckError("conformal cover does not realize the requested signs")
-    return tuple(Fraction(v) for v in total)
+    found = _cover(_cached_index(subspace.basis), s.pos, s.neg)
+    return None if found is None else tuple(Fraction(v) for v in found[0])
 
 
 def strict_feasibility(

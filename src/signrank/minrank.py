@@ -196,7 +196,7 @@ def min_rank(pattern: SignPattern, budget_ms: int | None = None) -> MinRankBrack
             certs.append(Certificate("realization", found.realization))
         elif found.exhausted:
             lower = max(lower, bound + 1)
-            certs.append(Certificate("rank3-exhausted", found.certificate()))
+            certs.append(Certificate("rank3-exhausted", found))
         if lower == upper:
             return _bracket(lower, upper, transposed, certs)
 

@@ -53,7 +53,7 @@ from .errors import Deadline, DimensionError, InternalCheckError
 from .rational import RationalMatrix, RationalSubspace, integer_rows, orth_complement, rank
 from .signs import SignPattern, sign_of
 
-__all__ = ["COV", "VEC", "Rank3Exhausted", "Rank3Result", "rank3_search"]
+__all__ = ["COV", "VEC", "Rank3Result", "rank3_search"]
 
 COV = "cov"
 VEC = "vec"
@@ -67,24 +67,16 @@ _PLACEMENT_TESTS = 20_000
 
 
 @dataclass(frozen=True)
-class Rank3Exhausted:
-    """The certificate of an exhausted rank-3 search: no sign assignment to
-    the triples passed every check, so the minimum rank exceeds 3 (cov) or
-    d-3 (vec). nodes counts the assignments the search visited. It is not
-    independently checkable: only a rerun of the search re-verifies it."""
-
-    question: str
-    nodes: int
-
-
-@dataclass(frozen=True)
 class Rank3Result:
     """Outcome of one rank-3 search.
 
     realization is a re-verified matrix with the pattern's signs and rank
     at most 3 (cov) or d-3 (vec), or None. unplaced counts the hits that
     passed every check but could not be placed; the search is exhausted
-    only when it found neither.
+    only when it found neither. An exhausted result is the certificate
+    that the minimum rank exceeds 3 (cov) or d-3 (vec), and nodes counts
+    the assignments the search visited. It is not independently
+    checkable: only a rerun of the search re-verifies it.
     """
 
     question: str
@@ -95,11 +87,6 @@ class Rank3Result:
     @property
     def exhausted(self) -> bool:
         return self.realization is None and not self.unplaced
-
-    def certificate(self) -> Rank3Exhausted:
-        if not self.exhausted:
-            raise ValueError("only an exhausted search has an exhaustion certificate")
-        return Rank3Exhausted(self.question, self.nodes)
 
 
 def _triple_sign(a: int, b: int, c: int) -> tuple[tuple[int, int, int], int]:

@@ -8,8 +8,11 @@ hit, that minrank.mr_le_n_minus_2 runs on the transpose); the rational
 orthogonal complement K of the type's plane then realizes each column by
 an exact witness inside K: member_witness sums the cocircuits of K
 conformal to the column, and builds those cocircuits once for all the
-columns. Exhausting the finite type space without a hit is a definitive
-negative (minimum rank exceeds n-2), distinct from running out of budget.
+columns. The matrix is assembled in integers, as rank3 assembles its
+factorizations: column j is (D B) x_j / D for its integer witness x_j,
+with D B the integer rows of K's basis B (`rational.integer_rows`).
+Exhausting the finite type space without a hit is a definitive negative
+(minimum rank exceeds n-2), distinct from running out of budget.
 
 rationalize_equation lifts this to matrix equations B C = E whose E has
 two columns (or two rows, via transposition): a block pattern with an
@@ -20,12 +23,13 @@ realization yields the exact rational triple.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .covectors import member_witness
 from .errors import BudgetExceededError, DimensionError, InternalCheckError
 from .rank2 import Rank2Type, find_plane_type
-from .rational import RationalMatrix, RationalSubspace, orth_complement, rank, schur_complement
+from .rational import RationalMatrix, RationalSubspace, integer_rows, orth_complement, rank, schur_complement
 from .signs import SignPattern, SignVector, sign_of
 
 __all__ = [
@@ -98,8 +102,12 @@ def realize_corank2(pattern: SignPattern, budget_ms: int | None = None) -> Reali
                 "column accepted by the type search has no witness in the complement"
             )
         witnesses.append(x)
-    basis = complement.basis
-    matrix = RationalMatrix.from_columns([basis.apply(x) for x in witnesses], rows=n)
+    scale, rows = integer_rows(complement.basis.data)
+    columns = []
+    for x in witnesses:
+        u = [int(e) for e in x]
+        columns.append([Fraction(sum(map(mul, row, u)), scale) for row in rows])
+    matrix = RationalMatrix.from_columns(columns, rows=n)
     if sign_of(matrix) != pattern:
         raise InternalCheckError("assembled realization has wrong signs")
     realized_rank = rank(matrix)

@@ -378,7 +378,9 @@ class SignVectorSet:
 
     def is_negation_closed(self) -> bool:
         if self._lookup is not None:
-            return all(-v in self._lookup for v in self._vectors)
+            # -v swaps the masks: compare the pairs, build no negated vector
+            pairs = {(v.pos, v.neg) for v in self._vectors}
+            return pairs == {(q, p) for p, q in pairs}
         return _negated_bits(self.n, self._bits) == self._bits
 
     def contains_zero(self) -> bool:

@@ -139,6 +139,18 @@ def reference_cover_witnesses(subspace):
     return out
 
 
+def assert_one_cover(space, vectors):
+    """member_witness(space, X) is None exactly when X is not in sign(L),
+    and otherwise the report's witness of X is the primitive integer point
+    on the ray of (x, B x)."""
+    report = sign_vectors(space)
+    for s in vectors:
+        x = member_witness(space, s)
+        assert (x is not None) == (s in report.signs)
+        if x is not None:
+            assert report.witnesses[s] == _ref_primitive(x, space.basis.apply(x))[0]
+
+
 class TestSignVectors:
     def test_coordinate_plane(self):
         report = sign_vectors(span(3, (1, 0, 0), (0, 1, 0)))
@@ -292,15 +304,17 @@ class TestSignVectors:
 
 class TestSignOnlyCallers:
     def test_build_no_witness(self, monkeypatch):
-        # the cover is sign-only; witnesses are built only when read
-        def forbidden(report):
-            raise AssertionError("a sign-only caller built a witness")
+        # the cover is sign-only; witnesses, and the per-coordinate masks
+        # that select their cocircuits, are built only when read
+        def forbidden(owner):
+            raise AssertionError(f"a sign-only caller built {type(owner).__name__} data")
 
         rng = Random(83)
         spaces = [random_subspace(n, k, rng) for n in range(1, 8) for k in range(n + 1)]
         reports = []
         with monkeypatch.context() as patch:
             patch.setattr(covectors.SubspaceSignReport, "witnesses", property(forbidden))
+            patch.setattr(covectors._CoverIndex, "masks", property(forbidden))
             for space in spaces:
                 assert verify_duality(space).ok
                 assert same_sign_dim_check(space, space)
@@ -339,11 +353,20 @@ class TestMemberWitness:
             for k in range(0, n + 1):
                 for _ in range(2):
                     space = random_subspace(n, k, rng)
-                    enumerated = set(sign_vectors(space).signs)
-                    for s in all_sign_vectors(n):
-                        witness = member_witness(space, s)
-                        assert (witness is not None) == (s in enumerated)
+                    assert_one_cover(space, all_sign_vectors(n))
 
+    def test_agrees_with_enumeration_for_n6_to_n8(self):
+        # 150 random candidates and 150 planted members sign(B x) per subspace
+        rng = Random(44)
+        for n in range(6, 9):
+            for k in range(0, n + 1):
+                space = random_subspace(n, k, rng)
+                candidates = [SignVector.from_signs(rng.choice((1, 0, -1)) for _ in range(n)) for _ in range(150)]
+                candidates += [
+                    sign_of_vector(space.basis.apply([rng.randint(-3, 3) for _ in range(k)]))
+                    for _ in range(150)
+                ]
+                assert_one_cover(space, candidates)
 
     def test_large_ambient_dimensions(self):
         # n = 12..14 is the desk-scale top; planted targets are members and
@@ -387,21 +410,21 @@ class TestCocircuitCache:
     def test_realize_corank2_builds_the_complement_cocircuits_once(self):
         corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "witness"
         pattern = SignPattern.parse((corpus / "real-n7-1.sp").read_text(encoding="utf-8"))
-        covectors._cached_cocircuits.cache_clear()
+        covectors._cached_index.cache_clear()
         assert realize_corank2(pattern).ok
-        info = covectors._cached_cocircuits.cache_info()
+        info = covectors._cached_index.cache_info()
         assert (info.misses, info.hits) == (1, pattern.cols - 1)
 
     def test_repeat_query_does_not_rebuild(self):
         space = random_subspace(6, 3, Random(61))
         target = sign_of_vector(space.basis.apply([1, 2, -1]))
         first = member_witness(space, target)
-        before = covectors._cached_cocircuits.cache_info()
+        before = covectors._cached_index.cache_info()
         assert member_witness(space, target) == first
         # the cache is keyed on the basis by value, not on the subspace object
         same_basis = RationalSubspace(6, RationalMatrix(space.basis.data))
         assert member_witness(same_basis, -target) is not None
-        after = covectors._cached_cocircuits.cache_info()
+        after = covectors._cached_index.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits + 2)
 
     def test_zero_vector_and_zero_subspace(self):

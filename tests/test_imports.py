@@ -1,8 +1,8 @@
 """Module boundaries: package modules import only each other's public names
 and read no other module's private attributes, every name the benchmark
 wraps is still bound where it wraps it, the two traced names that nothing
-calls stay uncalled, and only the deadline and the selftest log read the
-clock."""
+calls stay uncalled, only the deadline and the selftest log read the
+clock, and only covectors multiplies by a RationalMatrix in Fractions."""
 
 import ast
 import importlib
@@ -166,6 +166,22 @@ def test_binding_only_names_have_no_caller():
         path.name: found
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         if (found := calls_to(path.read_text(encoding="utf-8"), BINDING_ONLY))
+    }
+    assert callers == {}
+
+
+# witness images elsewhere are integer products with the rows of D B
+# (rational.integer_rows); only covectors multiplies a vector by a
+# RationalMatrix in Fractions
+APPLY_CALLERS = ("covectors.py",)
+
+
+def test_only_covectors_applies_a_rational_matrix():
+    callers = {
+        path.name: found
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name not in APPLY_CALLERS
+        if (found := calls_to(path.read_text(encoding="utf-8"), ("apply",)))
     }
     assert callers == {}
 

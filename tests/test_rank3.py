@@ -9,7 +9,7 @@ import signrank.errors
 import signrank.rank3
 from signrank.errors import BudgetExceededError, DimensionError
 from signrank.minrank import min_rank
-from signrank.rank3 import COV, VEC, Rank3Exhausted, rank3_search
+from signrank.rank3 import COV, VEC, rank3_search
 from signrank.rational import RationalMatrix, rank
 from signrank.selftest import _cell_rng
 from signrank.signs import SignPattern, sign_of
@@ -112,8 +112,6 @@ class TestSoundness:
             pattern = planted(rng, 6, 6, 3)
             result = rank3_search(pattern, COV)
             assert result.realization is None and result.unplaced and not result.exhausted
-            with pytest.raises(ValueError):
-                result.certificate()
             bracket = min_rank(pattern, budget_ms=1000)
             assert bracket.lower <= 3
             assert all(c.kind != "rank3-exhausted" for c in bracket.certificates)
@@ -123,9 +121,11 @@ class TestSoundness:
         pattern = SignPattern.from_strings(["+0+--", "+0++-", "+-++0", "---+0", "-+0+0"])
         assert min_rank(pattern).value == 4
         result = rank3_search(pattern, COV)
-        assert result.exhausted
-        assert result.certificate() == Rank3Exhausted(COV, result.nodes)
+        assert result.exhausted and result.question == COV
         assert rank3_search(pattern, COV) == result  # deterministic, nodes included
+        # the exhausted result is itself the certificate that the ladder keeps
+        kept = [c.payload for c in min_rank(pattern).certificates if c.kind == "rank3-exhausted"]
+        assert kept == [result]
 
     def test_zero_budget_raises(self):
         rng = Random(8)

@@ -802,7 +802,7 @@ class TestStrictFeasibilityAgainstClosure:
         # for integer Fourier-Motzkin on a 2-core container
         equalities, positives = list(seeded_systems(Random(5), 381))[-1]
         assert not equalities and len(positives) == 8 and len(positives[0]) == 6
-        covectors._cached_cocircuits.cache_clear()
+        covectors._cached_index.cache_clear()
         start = perf_counter()
         assert strict_feasibility(equalities, positives) is None
         assert perf_counter() - start < 1

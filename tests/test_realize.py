@@ -78,6 +78,17 @@ class TestRealizeCorank2:
         for j, witness in enumerate(result.column_witnesses):
             assert sign_of_vector(basis.apply(witness)) == pattern.column(j)
 
+    def test_assembly_matches_the_fraction_product(self):
+        # the integer assembly gives exactly B x for each column witness x
+        rng = Random(71)
+        for _ in range(50):
+            n = rng.randint(3, 7)
+            pattern = planted_pattern(rng, n, rng.randint(2, 8))
+            result = realize_corank2(pattern).result
+            basis = result.complement.basis
+            columns = [basis.apply(x) for x in result.column_witnesses]
+            assert result.matrix == RationalMatrix.from_columns(columns, rows=n)
+
     def test_budget_can_interrupt(self):
         # the 6x6 identity admits no plane, so a zero budget must cut the search
         identity = SignPattern.from_grid([[int(i == j) for j in range(6)] for i in range(6)])
