@@ -3,9 +3,10 @@
 For a subspace L given by a basis matrix B (columns spanning L), sign(L)
 is enumerated exactly, in integers. B is scaled by the lcm D of its
 denominators (`rational.integer_rows`), which changes no sign and no ray.
-The cocircuits, the minimal-support sign vectors, come from the (k-1)-row
-submatrices: a (k-1) x k block of D B of full rank has a one-dimensional
-kernel, whose integer basis vector `rational.integer_nullspace` gives.
+The cocircuits, the minimal-support sign vectors, are e -> chi(S, e) over
+the (k-1)-sets S of rows, read off one table chi of the maximal minors of
+D B (`rational.maximal_minors`; Bjorner et al., Oriented Matroids, 3.5).
+Only a witness needs the kernel of the rows S, a cocircuit's coefficient.
 
 The full set is the conformal cover of the cocircuits: a nonzero X is in
 sign(L) exactly when the cocircuits conformal to X (each nonzero
@@ -42,7 +43,9 @@ from random import Random
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InternalCheckError
-from .rational import RationalMatrix, RationalSubspace, integer_nullspace, integer_rows, orth_complement, rref
+from .rational import (
+    RationalMatrix, RationalSubspace, integer_nullspace, integer_rows, maximal_minors, orth_complement, rref,
+)
 from .signs import SignVector, SignVectorSet, conformal_cover, set_perp, sign_of_vector
 
 __all__ = [
@@ -122,34 +125,57 @@ def _pack_signs(values: Sequence[int]) -> tuple[int, int]:
 
 class _CoverIndex:
     """What the conformal cover reads of a basis B: D, the lcm of its
-    denominators; the rows of D B; and the cocircuits as (pos, neg, coeff),
-    with (coeff, B coeff) the primitive integer point on the ray of the
-    cocircuit whose sign vector is (pos, neg).
+    denominators; the rows of D B; and the cocircuits as (pos, neg), each
+    next to its negation.
 
-    The cocircuits come from the kernels of the (k-1) x k blocks of D B.
-    That covers every minimal-support nonzero sign vector of the column
-    span; extra non-minimal hits are covectors too, so harmless for the
-    cover. `masks` is built on the first cover query, so a caller that
-    reads only the signs never builds it.
+    The cocircuit of a (k-1)-set S of rows of full rank is e -> chi(S, e),
+    for chi the maximal minors of D B; these are all the cocircuits. The
+    integer coefficient of one, the primitive integer point (coeff,
+    B coeff) on its ray, is the kernel of the rows of its first S, found on
+    first use; `masks` is built on the first cover query. So a caller that
+    reads only the signs builds neither and eliminates no block.
     """
 
     def __init__(self, basis: RationalMatrix):
         n, k = basis.rows, basis.cols
         scale, rows = integer_rows(basis.data)
-        found: dict[tuple[int, int], tuple[int, ...]] = {}
-        for subset in combinations(range(n), k - 1) if k else ():
-            kernel = integer_nullspace([rows[i] for i in subset], k)
-            if len(kernel) != 1:
-                continue  # dependent rows; the line is covered by a smaller independent subset
-            (c,) = kernel
-            # (D c, D B c) is an integer point on the ray of (c, B c)
-            coeff, img = _reduce_int_pair([scale * v for v in c], [sum(map(mul, row, c)) for row in rows])
-            key = _pack_signs(img)
-            if key not in found:
-                found[key] = coeff
-                found[(key[1], key[0])] = tuple(-v for v in coeff)
+        chi = maximal_minors(rows)
+        found: dict[tuple[int, int], int] = {}  # signs -> the mask of the first S
+        bits = [1 << e for e in range(n)]
+        for block in combinations(bits, k - 1) if k else ():
+            held = sum(block)
+            pos = neg = 0
+            above = (k - 1) & 1  # parity of the members of S above e: moving e past them
+            for bit in bits:
+                if held & bit:
+                    above ^= 1
+                elif value := chi[held | bit]:
+                    if (value > 0) ^ above:
+                        pos |= bit
+                    else:
+                        neg |= bit
+            if (pos or neg) and (pos, neg) not in found:
+                found[(pos, neg)] = found[(neg, pos)] = held
         self.dim, self.scale, self.rows = k, scale, rows
-        self.cocircuits = tuple((p, q, c) for (p, q), c in found.items())
+        self.cocircuits, self._blocks = tuple(found), tuple(found.values())
+        self._coefficients: list[Optional[tuple[int, ...]]] = [None] * len(found)
+
+    def coefficient(self, g: int) -> tuple[int, ...]:
+        """The integer coefficient of cocircuit g; that of g ^ 1, its
+        negation, comes with it."""
+        if self._coefficients[g] is None:
+            block = [row for i, row in enumerate(self.rows) if self._blocks[g] >> i & 1]
+            (c,) = integer_nullspace(block, self.dim)
+            image = [sum(map(mul, row, c)) for row in self.rows]
+            # (D c, D B c) is an integer point on the ray of (c, B c)
+            coeff, image = _reduce_int_pair([self.scale * v for v in c], image)
+            key = _pack_signs(image)
+            if key == self.cocircuits[g ^ 1]:
+                coeff = tuple(-v for v in coeff)
+            elif key != self.cocircuits[g]:
+                raise InternalCheckError("a block's kernel does not have the signs of its minors")
+            self._coefficients[g], self._coefficients[g ^ 1] = coeff, tuple(-v for v in coeff)
+        return self._coefficients[g]
 
     @cached_property
     def masks(self) -> tuple[tuple[int, int, int], ...]:
@@ -159,7 +185,7 @@ class _CoverIndex:
         n = len(self.rows)
         every = (1 << len(self.cocircuits)) - 1
         plus_at, minus_at = [0] * n, [0] * n
-        for g, (p, q, _) in enumerate(self.cocircuits):
+        for g, (p, q) in enumerate(self.cocircuits):
             for i in range(n):
                 if p >> i & 1:
                     plus_at[i] |= 1 << g
@@ -188,16 +214,19 @@ def _cover(index: _CoverIndex, pos: int, neg: int) -> Optional[tuple[tuple[int, 
     conformal = (1 << len(cocircuits)) - 1
     for i, (plus, minus, zero) in enumerate(index.masks):
         conformal &= plus if pos >> i & 1 else minus if neg >> i & 1 else zero
+    chosen = []
     covered = 0
-    x = [0] * index.dim
     while conformal:
         low = conformal & -conformal
         conformal ^= low
-        p, q, coeff = cocircuits[low.bit_length() - 1]
+        g = low.bit_length() - 1
+        p, q = cocircuits[g]
         covered |= p | q
-        x = [a + b for a, b in zip(x, coeff)]
+        chosen.append(g)
     if covered != pos | neg:
         return None
+    # read only now: a coefficient's first use costs an elimination
+    x = [sum(column) for column in zip([0] * index.dim, *map(index.coefficient, chosen))]
     g = gcd(*x)
     if g > 1:
         x = [v // g for v in x]
@@ -212,7 +241,7 @@ def sign_vectors(subspace: RationalSubspace) -> SubspaceSignReport:
     cocircuits; each vector's integer witness is built when the report's
     `witnesses` is first read."""
     index = _CoverIndex(subspace.basis)
-    signs = conformal_cover(subspace.ambient_dim, ((p, q) for p, q, _ in index.cocircuits))
+    signs = conformal_cover(subspace.ambient_dim, index.cocircuits)
     return SubspaceSignReport(subspace, signs, index)
 
 

@@ -11,6 +11,7 @@ question, answered in covectors by a conformal cover of cocircuits.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -25,6 +26,7 @@ __all__ = [
     "rank",
     "integer_rows",
     "integer_nullspace",
+    "maximal_minors",
     "nullspace_basis",
     "orth_complement",
     "schur_complement",
@@ -264,6 +266,46 @@ def integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[i
             vec[p] = -row[f]
         basis.append(tuple(vec))
     return basis
+
+
+def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[int, int]:
+    """chi(T) = det of the rows T, for every k-set T of n x k integer rows,
+    up to one global sign; keyed by the bitmask of T. Rows of rank below k
+    give 0 on every T.
+
+    One elimination of the transpose leaves pivot columns P, each d on its
+    own row and 0 elsewhere; det G[:, T] of the reduced grid G is chi(T)
+    times one factor. From chi(P) = d, a T expands along its top non-pivot
+    column q: only the rows r of the pivots T leaves out give nonzero
+    minors, each det G[:, T - q + p_r] over d up to sign. So every state
+    reads states with one non-pivot column fewer, C(n, k) states in all.
+    """
+    n = len(rows)
+    grid = [list(column) for column in zip(*rows)]
+    k = len(grid)
+    pivots, d = _eliminate(grid)
+    if len(pivots) < k:
+        return dict.fromkeys((sum(1 << i for i in t) for t in combinations(range(n), k)), 0)
+    kept = sum(1 << p for p in pivots)
+    table = {kept: d}
+    for j in range(1, min(k, n - k) + 1):
+        left = [(sum(1 << p for _, p in out), out) for out in combinations(enumerate(pivots), j)]
+        for taken in combinations([c for c in range(n) if not kept >> c & 1], j):
+            q = taken[-1]
+            column = [row[q] for row in grid]
+            into = sum(1 << c for c in taken)
+            for mask, out in left:
+                t = kept ^ mask | into
+                at = (t & (1 << q) - 1).bit_count()  # the position of q in T
+                total = 0
+                for r, p in out:
+                    if column[r]:
+                        swapped = t ^ (1 << q | 1 << p)
+                        term = column[r] * table[swapped]
+                        # the Laplace signs of q in T and of p_r in T - q + p_r
+                        total += -term if (at + (swapped & (1 << p) - 1).bit_count()) & 1 else term
+                table[t] = total // d
+    return table
 
 
 class RationalSubspace:

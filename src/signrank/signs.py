@@ -322,6 +322,16 @@ class SignVectorSet:
         object.__setattr__(self, "_bits", None)
 
     @classmethod
+    def _from_sorted(cls, n: int, vectors: Sequence[SignVector]) -> "SignVectorSet":
+        """The vector-backed set of distinct vectors already in canonical order."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_vectors", tuple(vectors))
+        object.__setattr__(self, "_lookup", frozenset(vectors))
+        object.__setattr__(self, "_bits", None)
+        return self
+
+    @classmethod
     def _from_bits(cls, n: int, bits: int) -> "SignVectorSet":
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
@@ -701,7 +711,7 @@ def conformal_cover(n: int, generators: Iterable[tuple[int, int]]) -> SignVector
             p, q = low[lowest.bit_length() - 1]
             members.append(SignVector(n, hp | p, hn | q))
             word ^= lowest
-    return SignVectorSet(n, members)
+    return SignVectorSet._from_sorted(n, members)
 
 
 def _transpose(n: int, masks: Sequence[int]) -> list[int]:

@@ -2,7 +2,7 @@
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 from random import Random
@@ -24,8 +24,11 @@ from signrank.errors import DimensionError
 from signrank.rational import (
     RationalMatrix,
     RationalSubspace,
+    integer_nullspace,
+    integer_rows,
     nullspace_basis,
     orth_complement,
+    rank,
 )
 from signrank.realize import realize_corank2
 from signrank.signs import SignPattern, SignVector, all_sign_vectors, sign_of_vector
@@ -95,6 +98,48 @@ def _ref_cocircuit_candidates(basis):
                 tuple(-v for v in img),
             )
     return [(p, q, c, v) for (p, q), (c, v) in found.items()]
+
+
+def reference_cocircuits(basis):
+    """The cocircuits as (pos, neg, coeff), from one integer kernel per
+    (k-1)-row block of D B: the build that the table of maximal minors
+    replaced. coeff is the primitive integer point (coeff, B coeff) on the
+    cocircuit's ray."""
+    n, k = basis.rows, basis.cols
+    scale, rows = integer_rows(basis.data)
+    found = {}
+    for subset in combinations(range(n), k - 1) if k else ():
+        kernel = integer_nullspace([rows[i] for i in subset], k)
+        if len(kernel) != 1:
+            continue
+        (c,) = kernel
+        coeff = [scale * v for v in c]
+        image = [sum(a * b for a, b in zip(row, c)) for row in rows]
+        g = gcd(*coeff, *image)
+        key = _ref_pack(image)
+        if key not in found:
+            found[key] = tuple(v // g for v in coeff)
+            found[(key[1], key[0])] = tuple(-v // g for v in coeff)
+    return {(p, q, c) for (p, q), c in found.items()}
+
+
+def table_cocircuits(basis):
+    """The cover index's cocircuits as (pos, neg, coeff); each appears once."""
+    index = covectors._CoverIndex(basis)
+    found = {(p, q, index.coefficient(g)) for g, (p, q) in enumerate(index.cocircuits)}
+    assert len(found) == len(index.cocircuits)
+    return found
+
+
+def duality_corpus_bases():
+    """The duality benchmark's 36 bases and their 36 complements."""
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "duality"
+    spaces = []
+    for path in sorted(corpus.glob("*.mat")):
+        matrix = RationalMatrix.parse(path.read_text(encoding="utf-8"))
+        space = RationalSubspace(matrix.rows, matrix)
+        spaces += [space.basis, orth_complement(space).basis]
+    return spaces
 
 
 def reference_sign_vectors(subspace):
@@ -249,6 +294,20 @@ class TestSignVectors:
             assert signs._lookup is not None
             assert list(signs) == reference_sign_vectors(space)
 
+    def test_vector_backed_sets_come_in_canonical_order(self):
+        # the cover emits its members in canonical order and the set keeps it
+        rng = Random(81)
+        checked = 0
+        for n in range(12, 21):
+            for k in (2, 3):
+                signs = sign_vectors(random_subspace(n, k, rng)).signs
+                if signs._lookup is None:
+                    continue
+                checked += 1
+                assert list(signs) == sorted(signs, key=SignVector.sort_key)
+                assert len(set(signs)) == len(signs)
+        assert checked >= 12
+
     def test_witness_is_primitive_on_the_rational_ray(self):
         # (x, Bx) = (6, (3, 2)) is the primitive integer point; scaling each
         # row of B to integers separately would keep the signs but give x = 1
@@ -302,12 +361,45 @@ class TestSignVectors:
                 assert count <= 3**n - 2 * (2**n - 1)
 
 
+class TestCocircuitTable:
+    # the cocircuits read off the minor table, with their coefficients, are
+    # exactly those of one kernel per (k-1)-row block
+
+    def test_every_small_matrix_over_three_signs(self):
+        checked = 0
+        for n, k in ((3, 2), (4, 2), (3, 3)):
+            for entries in product((-1, 0, 1), repeat=n * k):
+                basis = RationalMatrix([entries[i * k : (i + 1) * k] for i in range(n)])
+                if rank(basis) == k:
+                    assert table_cocircuits(basis) == reference_cocircuits(basis)
+                    checked += 1
+        assert checked == 18_672
+
+    def test_seeded_subspaces_of_every_dimension(self):
+        shapes = [(n, k) for n in range(1, 9) for k in range(n + 1)]
+        rng = Random(1301)
+        for i in range(280):
+            n, k = shapes[i % len(shapes)]
+            basis = random_subspace(n, k, rng).basis
+            assert table_cocircuits(basis) == reference_cocircuits(basis)
+
+    def test_duality_corpus_bases_and_complements(self):
+        bases = duality_corpus_bases()
+        assert len(bases) == 72
+        for basis in bases:
+            assert table_cocircuits(basis) == reference_cocircuits(basis)
+
+
 class TestSignOnlyCallers:
     def test_build_no_witness(self, monkeypatch):
-        # the cover is sign-only; witnesses, and the per-coordinate masks
-        # that select their cocircuits, are built only when read
+        # the cover is sign-only; witnesses, the per-coordinate masks that
+        # select their cocircuits and the cocircuits' integer coefficients
+        # are built only when read
         def forbidden(owner):
             raise AssertionError(f"a sign-only caller built {type(owner).__name__} data")
+
+        def eliminated(rows, ncols):
+            raise AssertionError("a sign-only caller eliminated a block")
 
         rng = Random(83)
         spaces = [random_subspace(n, k, rng) for n in range(1, 8) for k in range(n + 1)]
@@ -315,6 +407,7 @@ class TestSignOnlyCallers:
         with monkeypatch.context() as patch:
             patch.setattr(covectors.SubspaceSignReport, "witnesses", property(forbidden))
             patch.setattr(covectors._CoverIndex, "masks", property(forbidden))
+            patch.setattr(covectors, "integer_nullspace", eliminated)
             for space in spaces:
                 assert verify_duality(space).ok
                 assert same_sign_dim_check(space, space)

@@ -1,7 +1,7 @@
 """Exact linear algebra kernel."""
 
 from fractions import Fraction
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import gcd
 from random import Random
 from time import perf_counter
@@ -19,6 +19,7 @@ from signrank.rational import (
     format_rational,
     integer_nullspace,
     integer_rows,
+    maximal_minors,
     nullspace_basis,
     orth_complement,
     parse_rational,
@@ -347,6 +348,86 @@ class TestIntegerNullspace:
             else:
                 assert len(assert_integer_kernel(rows, k)) >= 2
         assert seen > 200
+
+
+def assert_minor_table(rows):
+    """maximal_minors(rows) holds every k-set of rows, and is the Leibniz
+    determinant of each times one global nonzero factor (0 everywhere when
+    the rows have rank below k). Returns the Leibniz table."""
+    n, k = len(rows), len(rows[0]) if rows else 0
+    table = maximal_minors(rows)
+    subsets = combinations(range(n), k)
+    exact = {sum(1 << i for i in t): leibniz_determinant([rows[i] for i in t]) for t in subsets}
+    assert table.keys() == exact.keys()
+    if not any(exact.values()):
+        assert not any(table.values())
+        return exact
+    anchor = next(t for t, v in exact.items() if v)
+    factor = Fraction(table[anchor], exact[anchor])
+    assert factor != 0
+    assert all(table[t] == factor * v for t, v in exact.items())
+    return exact
+
+
+class TestMaximalMinors:
+    def test_empty_and_square_shapes(self):
+        assert maximal_minors([]) == {0: 1}
+        assert maximal_minors([[], []]) == {0: 1}
+        assert maximal_minors([[0, 1], [1, 0]]).keys() == {0b11}
+        assert_minor_table([[5]])
+
+    def test_seeded_matrices_up_to_7x5(self):
+        rng = Random(63)
+        for n in range(1, 8):
+            for k in range(1, min(n, 5) + 1):
+                for _ in range(6):
+                    assert_minor_table([[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)])
+
+    def test_rank_deficient_row_subsets_give_zero(self):
+        rng = Random(64)
+        dependent = 0
+        for _ in range(120):
+            n, k = rng.randint(2, 7), rng.randint(2, 4)
+            if k > n:
+                continue
+            rows = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            a, b = rng.sample(range(n), 2)
+            factor = rng.randint(-2, 2)
+            rows[a] = [factor * v for v in rows[b]]
+            exact = assert_minor_table(rows)
+            table = maximal_minors(rows)
+            # every k-set holding both a and b has dependent rows
+            for t, v in table.items():
+                if t >> a & 1 and t >> b & 1:
+                    assert v == 0 == exact[t]
+                    dependent += 1
+        assert dependent > 100
+
+    def test_rank_deficient_matrices_give_zero_everywhere(self):
+        for rows in ([[1, 2], [2, 4], [-3, -6]], [[0, 0, 0], [1, 1, 1], [2, 2, 2], [0, 0, 0]], [[0], [0]]):
+            table = assert_minor_table(rows)
+            assert not any(maximal_minors(rows).values()) and not any(table.values())
+
+    def test_input_is_not_modified(self):
+        rows = [[0, 1], [2, 3], [4, 5]]
+        maximal_minors(rows)
+        assert rows == [[0, 1], [2, 3], [4, 5]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.integers(0, min(n, 4)).flatmap(
+                lambda k: st.lists(
+                    st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=n, max_size=n
+                )
+            )
+        )
+    )
+    def test_leibniz_property(self, rows):
+        if rows and not rows[0]:
+            assert maximal_minors(rows) == {0: 1}
+        else:
+            assert_minor_table(rows)
 
 
 class TestNullspace:
