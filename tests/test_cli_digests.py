@@ -36,7 +36,9 @@ def commands() -> list[list[str]]:
     for eq in sorted({path.name[:3] for path in (CORPUS / "witness").glob("eq*-B.sp")}):
         runs.append(["rationalize", *(relative(CORPUS / "witness" / f"{eq}-{part}.sp") for part in "BCE"), "--json"])
     runs.append(["duality-check", "--random", "12", "--n", "6", "--json"])
-    runs += [["mr", relative(path), "--json"] for path in sorted((CORPUS / "minrank").glob("*.sp"))]
+    patterns = sorted((CORPUS / "minrank").glob("*.sp"))
+    runs += [["mr", relative(path), "--json"] for path in patterns]
+    runs += [["perp", relative(path), "--json"] for path in patterns]
     return runs
 
 
@@ -53,7 +55,7 @@ def pinned() -> dict:
 
 
 def test_the_pinned_commands_are_the_corpus_commands():
-    assert len(commands()) == 36 + 9 + 6 + 4 + 1 + 15
+    assert len(commands()) == 36 + 9 + 6 + 4 + 1 + 15 + 15
     assert sorted(pinned()) == sorted(" ".join(argv) for argv in commands())
 
 
