@@ -46,7 +46,7 @@ from .errors import DimensionError, InternalCheckError
 from .rational import (
     RationalMatrix, RationalSubspace, integer_nullspace, integer_rows, maximal_minors, orth_complement, rref,
 )
-from .signs import SignVector, SignVectorSet, conformal_cover, set_perp, sign_of_vector
+from .signs import SignVector, SignVectorSet, bit_columns, conformal_cover, set_perp, sign_of_vector
 
 __all__ = [
     "SubspaceSignReport",
@@ -184,14 +184,8 @@ class _CoverIndex:
         0 there."""
         n = len(self.rows)
         every = (1 << len(self.cocircuits)) - 1
-        plus_at, minus_at = [0] * n, [0] * n
-        for g, (p, q) in enumerate(self.cocircuits):
-            for i in range(n):
-                if p >> i & 1:
-                    plus_at[i] |= 1 << g
-                elif q >> i & 1:
-                    minus_at[i] |= 1 << g
-        return tuple((every ^ m, every ^ p, every ^ (p | m)) for p, m in zip(plus_at, minus_at))
+        columns = bit_columns(2 * n, [p | q << n for p, q in self.cocircuits])
+        return tuple((every ^ q, every ^ p, every ^ (p | q)) for p, q in zip(columns[:n], columns[n:]))
 
 
 # bases whose cover index member_witness keeps: realize_corank2 asks one

@@ -7,20 +7,22 @@ sign vectors is lexicographic under the entry encoding 0 -> 0, + -> 1,
 - -> 2; `SignVector.sort_key` realizes it as a base-3 integer, the
 canonical index of the vector among all 3^n.
 
-`set_perp` is bitsliced over that index: a set of length-n vectors is one
-3^n-bit int, and the per-coordinate bitsets P_i / N_i (the indices with +
-/ - at coordinate i) turn each member's orthogonality test into a few
-big-int operations. `conformal_cover` is bitsliced the same way over the
-last six coordinates and walks the leading ones, so it builds sign(L) from
-the cocircuits of L a 3^6-bit chunk at a time. A SignVectorSet is either
-built from vectors (a sorted tuple and a frozenset, no 3^n allocation,
-however long the vectors) or holds 3^n bits, from `set_perp`,
-`conformal_cover` or the canonical indices of its members
-(`SignVectorSet.from_indices`), and decodes its members lazily, in
-canonical order, by base-3 arithmetic. 3^n-bit ints live only in
-`set_perp`, the bits-backed sets, the subset tables (n <= 8) and a
-vector-built set compared with a bits-backed one; no coordinate mask
-longer than 3^8 bits is cached.
+A set of length-n vectors is one 3^n-bit int over that index, and Z_i,
+the indices with digit 0 at coordinate i, is the one per-coordinate mask:
+shifted up by 3^(n-1-i) it marks the + digits there, by twice that the -
+digits. `set_perp` is one transform over the index, n steps of a few
+big-int operations each, whatever the size of the set. `conformal_cover`
+is bitsliced the same way over the last six coordinates and walks the
+leading ones, so it builds sign(L) from the cocircuits of L a 3^6-bit
+chunk at a time. A SignVectorSet is either built from vectors (a sorted
+tuple and a frozenset, no 3^n allocation, however long the vectors) or
+holds 3^n bits, from `set_perp`, `conformal_cover` or the canonical
+indices of its members (`SignVectorSet.from_indices`), and decodes its
+members lazily, in canonical order, by base-3 arithmetic. 3^n-bit ints
+live only in `set_perp`, the negation of a bits-backed set, the
+bits-backed sets themselves and a vector-built set compared with a
+bits-backed one; the masks Z_i are cached up to length 10 and built one
+at a time past it.
 """
 
 from dataclasses import dataclass
@@ -485,83 +487,50 @@ def _tile(block: int, width: int, count: int) -> int:
     return out
 
 
+# Up to this length the zero masks are cached: the minimum-rank ladder asks
+# set_perp for up to 10 columns, and 10 masks of 3^10 bits take 74 KB.
+_CACHED_WIDTH = 10
+
+
+def _zero_mask(n: int, i: int) -> int:
+    """Z_i: the 3^n-bit index set of the length-n vectors with 0 at
+    coordinate i, blocks of 3^(n-1-i) indices every 3^(n-i)."""
+    w = 3 ** (n - 1 - i)
+    return _tile((1 << w) - 1, 3 * w, 3**i)
+
+
+@lru_cache(maxsize=16)
+def _cached_zero_masks(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((3 ** (n - 1 - i), _zero_mask(n, i)) for i in range(n))
+
+
+def _zero_masks(n: int) -> Iterable[tuple[int, int]]:
+    """(3^(n-1-i), Z_i) for each coordinate i. Shifting an index in Z_i up
+    by w = 3^(n-1-i) sets its digit i to 1 (+), by 2w to 2 (-). Cached up to
+    length `_CACHED_WIDTH`; a longer call builds one mask at a time."""
+    if n <= _CACHED_WIDTH:
+        return _cached_zero_masks(n)
+    return ((3 ** (n - 1 - i), _zero_mask(n, i)) for i in range(n))
+
+
 def _negated_bits(n: int, bits: int) -> int:
     """The index set of the negations of the members of `bits`: at each
-    coordinate, digit 1 (+) and digit 2 (-) swap blocks of 3^(n-1-i)."""
-    for i, (plus, minus) in enumerate(_coordinate_masks(n)):
-        w = 3 ** (n - 1 - i)
-        bits = bits & ~(plus | minus) | (bits & plus) << w | (bits & minus) >> w
+    coordinate, the digit-1 (+) and digit-2 (-) blocks swap."""
+    for w, zero in _zero_masks(n):
+        bits = bits & zero | (bits >> w & zero) << 2 * w | (bits >> 2 * w & zero) << w
     return bits
 
 
-def _first_plus_bits(n: int) -> int:
-    """The indices whose first nonzero digit is 1 (+): [3^j, 2 * 3^j) for
-    j < n, the vectors that are 0 before coordinate n-1-j and + at it."""
-    out = 0
-    for j in range(n):
-        w = 3**j
-        out |= ((1 << w) - 1) << w
-    return out
-
-
-_SUBSET_WIDTH = 8  # up to this length, the ORs over every support are tabulated
-
-
-def _coordinate_masks(n: int) -> tuple[tuple[int, int], ...]:
-    """(P_i, N_i) for each coordinate i: the 3^n-bit index sets of the
-    vectors with + (P_i) and with - (N_i) at coordinate i."""
-    masks = []
-    for i in range(n):
-        w = 3 ** (n - 1 - i)
-        plus = _tile(((1 << w) - 1) << w, 3 * w, 3**i)
-        masks.append((plus, plus << w))
-    return tuple(masks)
-
-
-@lru_cache(maxsize=8)
-def _subset_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For every coordinate mask s < 2^n, the OR of P_i (and of N_i) over
-    the coordinates i in s: 2^(n+1) ints of 3^n bits, so small n only."""
-    plus, minus = [0] * (1 << n), [0] * (1 << n)
-    for i, (p, q) in enumerate(_coordinate_masks(n)):
-        bit = 1 << i
-        for s in range(bit):
-            plus[bit | s] = plus[s] | p
-            minus[bit | s] = minus[s] | q
-    return tuple(plus), tuple(minus)
-
-
-def set_perp(vectors, n: int | None = None) -> SignVectorSet:
-    """All sign vectors orthogonal to every member of the given set.
-
-    Accepts a SignVectorSet (preferred) or any iterable of SignVector plus
-    the ambient length n; every member must have length n.
-
-    Bitsliced: the 3^n candidates are the bits of one int over the
-    canonical index (`SignVector.sort_key`). A candidate agrees with a
-    member x at some coordinate iff it lies in the OR of P_i over x's +
-    coordinates and N_i over its - coordinates, and opposes x iff it lies
-    in the same OR with P and N swapped (see `_coordinate_masks`). It is
-    orthogonal to x unless exactly one of the two holds, so each member
-    costs a few big-int operations, whatever the size of the result. Up
-    to length 8 the ORs come from a table over all supports. The result
-    is bits-backed and decodes lazily, so a caller that reads one member
-    decodes one. A bits-backed input is read as (pos, neg) pairs straight
-    from its bits, without a SignVector per member, and one member of each
-    +/- pair. 3^n-bit ints live only here, in that result and in the
-    subset tables for n <= 8; longer vectors rebuild their P_i / N_i per call.
-    """
+def _closed_indices(vectors, n: Optional[int]) -> tuple[int, int]:
+    """n and the index set of the members of a set_perp input and of their
+    negations, after the input checks."""
     if isinstance(vectors, SignVectorSet):
         if n is not None and n != vectors.n:
             raise DimensionError(f"sign vectors of length {vectors.n} against ambient length {n}")
         n = vectors.n
         if vectors._lookup is None:
-            # a candidate is orthogonal to x iff it is to -x, and to 0 always:
-            # of each +/- pair, the member whose first nonzero entry is + will do
-            bits = vectors._bits
-            members = _iter_index_masks(n, (bits | _negated_bits(n, bits)) & _first_plus_bits(n))
-        else:
-            members = ((v.pos, v.neg) for v in vectors._vectors)
+            return n, vectors._bits | _negated_bits(n, vectors._bits)
+        vectors = vectors._vectors
     else:
         vectors = list(vectors)
         if n is None:
@@ -571,25 +540,43 @@ def set_perp(vectors, n: int | None = None) -> SignVectorSet:
         for v in vectors:
             if v.n != n:
                 raise DimensionError(f"sign vector of length {v.n} against ambient length {n}")
-        members = ((v.pos, v.neg) for v in vectors)
-    bad = 0  # candidates not orthogonal to some member
-    if n <= _SUBSET_WIDTH:
-        plus, minus = _subset_masks(n)
-        for xp, xn in members:
-            bad |= (plus[xp] | minus[xn]) ^ (minus[xp] | plus[xn])
-    else:
-        masks = _coordinate_masks(n)
-        for xp, xn in members:
-            agree = oppose = 0
-            for i, (p, q) in enumerate(masks):
-                if xp >> i & 1:
-                    agree |= p
-                    oppose |= q
-                elif xn >> i & 1:
-                    agree |= q
-                    oppose |= p
-            bad |= agree ^ oppose
-    return SignVectorSet._from_bits(n, ((1 << 3**n) - 1) & ~bad)
+    pairs = ((p, q) for v in vectors for p, q in ((v.pos, v.neg), (v.neg, v.pos)))
+    return n, _index_bits(n, (canonical_index(n, p, q) for p, q in pairs))
+
+
+def set_perp(vectors, n: int | None = None) -> SignVectorSet:
+    """All sign vectors orthogonal to every member of the given set.
+
+    Accepts a SignVectorSet (preferred) or any iterable of SignVector plus
+    the ambient length n; every member must have length n.
+
+    One transform over the canonical index (`SignVector.sort_key`), in the
+    manner of Yates's algorithm: n steps of a few 3^n-bit operations each,
+    however many members the set has. Let T be the members and their
+    negations. Y is orthogonal to every member unless some X in T has
+    x_i y_i >= 0 at every coordinate and x_i y_i > 0 at one (Bjorner, Las
+    Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 3.4).
+
+    Step i turns digit i of every index from an X digit into a Y digit.
+    After it, an index whose digits up to i are Y's and past i are X's is
+    in U when some X in T with those last digits has x_j y_j >= 0 at each
+    j <= i, and in B when some such X also has x_j y_j > 0 at one of them.
+    A Y digit 0 takes any X digit, and the product is 0; a Y digit + takes
+    the X digits 0 and +, the latter with a positive product, and - takes
+    0 and - alike. After the last step B holds the vectors that are not
+    orthogonal to some member, and the result is its complement,
+    bits-backed and decoded lazily.
+    """
+    n, compatible = _closed_indices(vectors, n)  # U before the first step: T
+    agree = 0  # B
+    for w, zero in _zero_masks(n):
+        u0, b0 = compatible & zero, agree & zero
+        # digit 0 ORs the three X digits; digits + and - take X digit 0
+        # (u0, b0, moved up) and their own X digit, already in place, which
+        # puts every index of U with a nonzero digit i into B
+        agree = (agree | agree >> w | agree >> 2 * w) & zero | (b0 | b0 << w) << w | compatible ^ u0
+        compatible |= (compatible >> w | compatible >> 2 * w) & zero | (u0 | u0 << w) << w
+    return SignVectorSet._from_bits(n, ((1 << 3**n) - 1) ^ agree)
 
 
 # A set is kept as 3^n bits while that costs at most this many bits per
@@ -637,8 +624,8 @@ def conformal_cover(n: int, generators: Iterable[tuple[int, int]]) -> SignVector
     # are + there, and - there
     conformal = [plus_and[gp >> lead] & minus_and[gq >> lead] for gp, gq in generators]
     coords = [[i for i in range(n) if (gp | gq) >> i & 1] for gp, gq in generators]
-    pos = _transpose(n, [gp for gp, _ in generators])
-    neg = _transpose(n, [gq for _, gq in generators])
+    columns = bit_columns(2 * n, [gp | gq << n for gp, gq in generators])
+    pos, neg = columns[:n], columns[n:]
     support = [p | q for p, q in zip(pos, neg)]
     chunks = []  # (chunk index, leading pos, leading neg, chunk bits), in canonical order
 
@@ -714,8 +701,9 @@ def conformal_cover(n: int, generators: Iterable[tuple[int, int]]) -> SignVector
     return SignVectorSet._from_sorted(n, members)
 
 
-def _transpose(n: int, masks: Sequence[int]) -> list[int]:
-    """For each coordinate i < n, the mask whose bit g is bit i of masks[g]."""
+def bit_columns(n: int, masks: Sequence[int]) -> list[int]:
+    """For each bit position i < n, the mask whose bit g is bit i of
+    masks[g]: the transpose of the masks read as rows of n bits."""
     if not masks:
         return [0] * n
     # the binary digits of mask | 1 << n, past "0b1", are bits n-1 .. 0, so
@@ -727,18 +715,19 @@ def _transpose(n: int, masks: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=8)
 def _conjunction_masks(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Over 3^m bits: for every coordinate mask s < 2^m, the AND of P_i (and
-    of N_i) over the coordinates i in s, all 3^m indices for s = 0; and
-    for each coordinate, the indices with 0 there. m <= 6 only."""
+    """Over 3^m bits: for every coordinate mask s < 2^m, the AND over the
+    coordinates i in s of the indices with + at i (and of those with - at
+    i), all 3^m indices for s = 0; and for each coordinate, the indices
+    with 0 there. m <= 6 only."""
     full = (1 << 3**m) - 1
     plus, minus = [full] * (1 << m), [full] * (1 << m)
     zeros = []
-    for i, (p, q) in enumerate(_coordinate_masks(m)):
-        bit = 1 << i
+    for i, (w, zero) in enumerate(_zero_masks(m)):
+        bit, p, q = 1 << i, zero << w, zero << 2 * w
         for s in range(bit):
             plus[bit | s] = plus[s] & p
             minus[bit | s] = minus[s] & q
-        zeros.append(full & ~(p | q))
+        zeros.append(zero)
     return tuple(plus), tuple(minus), tuple(zeros)
 
 

@@ -131,6 +131,21 @@ def table_cocircuits(basis):
     return found
 
 
+
+def reference_masks(index):
+    """The cover index's per-coordinate masks, by the loop over coordinates
+    and cocircuits that bit_columns replaced."""
+    n = len(index.rows)
+    every = (1 << len(index.cocircuits)) - 1
+    plus_at, minus_at = [0] * n, [0] * n
+    for g, (p, q) in enumerate(index.cocircuits):
+        for i in range(n):
+            if p >> i & 1:
+                plus_at[i] |= 1 << g
+            elif q >> i & 1:
+                minus_at[i] |= 1 << g
+    return tuple((every ^ m, every ^ p, every ^ (p | m)) for p, m in zip(plus_at, minus_at))
+
 def duality_corpus_bases():
     """The duality benchmark's 36 bases and their 36 complements."""
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "duality"
@@ -388,6 +403,21 @@ class TestCocircuitTable:
         assert len(bases) == 72
         for basis in bases:
             assert table_cocircuits(basis) == reference_cocircuits(basis)
+
+    def test_masks_match_the_per_coordinate_loop(self):
+        bases = []
+        for n, k in ((3, 2), (4, 2), (3, 3)):
+            for entries in product((-1, 0, 1), repeat=n * k):
+                basis = RationalMatrix([entries[i * k : (i + 1) * k] for i in range(n)])
+                if rank(basis) == k:
+                    bases.append(basis)
+        shapes = [(n, k) for n in range(1, 9) for k in range(n + 1)]
+        rng = Random(1301)
+        bases += [random_subspace(*shapes[i % len(shapes)], rng).basis for i in range(280)]
+        bases += duality_corpus_bases()
+        for basis in bases:
+            index = covectors._CoverIndex(basis)
+            assert index.masks == reference_masks(index)
 
 
 class TestSignOnlyCallers:

@@ -227,17 +227,36 @@ class TestSetPerpAgainstReference:
         assert len(sizes) > 50
 
     def test_seeded_sets_on_the_coordinate_path(self):
-        # lengths above the subset tables OR the per-coordinate masks
+        # lengths past the old subset tables
         for n, members in seeded_member_lists(82, (9, 10), 3):
             expected = list(reference_set_perp(members, n))
             assert list(set_perp(members, n=n)) == expected
             assert list(set_perp(indexed(n, members))) == expected
 
-    def test_coordinate_and_uncached_paths(self, monkeypatch):
-        # no subset table: every length takes the per-call coordinate masks
-        monkeypatch.setattr(signrank.signs, "_SUBSET_WIDTH", 0)
-        for n, members in seeded_member_lists(83, range(7), 10):
-            assert list(set_perp(members, n=n)) == list(reference_set_perp(members, n))
+    def test_one_kernel_from_nine_to_eleven(self):
+        # both sides of the cached zero masks, and every kind of input
+        assert 9 <= signrank.signs._CACHED_WIDTH < 11
+        for n, members in seeded_member_lists(83, (9, 10, 11), 2):
+            expected = list(reference_set_perp(members, n))
+            assert list(set_perp(members, n=n)) == expected
+            assert list(set_perp(SignVectorSet(n, members))) == expected
+            assert list(set_perp(indexed(n, members))) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.lists(sign_entries, min_size=n, max_size=n).map(SignVector.from_signs), max_size=6),
+            )
+        )
+    )
+    def test_negations_and_zero_change_nothing(self, case):
+        n, members = case
+        closed = members + [-v for v in members] + [SignVector.zero(n)]
+        expected = reference_set_perp(members, n)
+        assert set_perp(members, n=n) == set_perp(closed, n=n) == expected
+        assert set_perp(indexed(n, members)) == set_perp(indexed(n, closed)) == expected
 
     def test_every_single_vector_and_pair_up_to_three(self):
         for n in range(4):
@@ -321,6 +340,13 @@ class TestSignVectorSetSources:
             assert perp == copy and copy == perp
             assert perp.difference(copy) == () == copy.difference(perp)
             assert perp.is_negation_closed() and perp.contains_zero()
+
+    def test_negated_bits_negate_every_member(self):
+        for n, members in seeded_member_lists(95, range(10), 6):
+            bits = indexed(n, members)
+            negated = indexed(n, [-v for v in members])
+            assert signrank.signs._negated_bits(n, bits._bitset()) == negated._bitset()
+            assert bits.is_negation_closed() == (bits == negated)
 
     def test_sparse_sets_never_allocate_the_cube(self):
         # 3^40 bits would not fit in memory; a vector-built set never asks
